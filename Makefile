@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci quick build vet test race bench benchsmoke fanout-oracle fuzz fuzz-smoke figures cover golden chaos-smoke vuln clean
+.PHONY: ci quick build vet test race bench benchsmoke fanout-oracle lpperf-test fuzz fuzz-smoke figures cover golden chaos-smoke vuln clean
 
-ci: build vet test race cover benchsmoke fanout-oracle fuzz-smoke chaos-smoke vuln
+ci: build vet test race cover benchsmoke fanout-oracle lpperf-test fuzz-smoke chaos-smoke vuln
 
 quick: build vet
 	$(GO) test -short ./...
@@ -61,17 +61,24 @@ benchsmoke:
 	@rm -f benchsmoke.out
 
 # The fan-out differential oracles under both a single-core and the
-# default scheduler: GOMAXPROCS changes the auto fan-out plan (chunked
-# serial replay vs the class-affinity worker pool), so both legs must
-# produce bit-identical reports. `make test`/`make race` already cover
-# the default; the GOMAXPROCS=1 leg pins the serial plan explicitly.
+# default scheduler: GOMAXPROCS sets the auto worker count (Parallelism 0
+# resolves to one worker, replaying every engine inline, under
+# GOMAXPROCS=1, and to the class-affinity worker pool otherwise), so both
+# legs must produce bit-identical reports. `make test`/`make race` already
+# cover the default; the GOMAXPROCS=1 leg pins the inline path explicitly.
 fanout-oracle:
 	GOMAXPROCS=1 $(GO) test -count=1 \
-		-run='TestFanoutDifferentialOracle|TestMultiRun|TestParallelDeterminism|TestPlanFanout' \
+		-run='TestFanoutDifferentialOracle|TestMultiRun|TestParallelDeterminism|TestFanoutWorkers' \
 		./internal/core ./internal/bench
 	$(GO) test -count=1 \
 		-run='TestFanoutDifferentialOracle|TestParallelDeterminism' \
 		./internal/core ./internal/bench
+
+# cmd/lpperf is a nested module (the BENCHMARK.json runner) that the root
+# `go build ./...` never compiles; build and test it against this
+# checkout's core API.
+lpperf-test:
+	cd cmd/lpperf && GOPROXY=off GOTOOLCHAIN=local $(GO) test ./...
 
 # Short coverage-guided runs of every fuzz target (go test allows one
 # -fuzz per invocation, hence the separate lines). Part of `make ci`:
@@ -113,16 +120,17 @@ vuln:
 	fi
 
 # Full measurement run: the perf suite (engine hot path, interpreter
-# dispatch, end-to-end sweep; shadow vs legacy-map, fanout vs per-config,
-# bytecode vs treewalk, batched vs per-event, and parallel vs serial
-# sub-benchmarks, plus the bytecode compiler's opcode-mix census) and the
-# root interpreter benchmark, rendered to BENCH_PR10.json with the
-# speedup-ratio tables.
+# dispatch, end-to-end sweep; shadow vs legacy-map, bytecode vs treewalk,
+# and parallel vs serial sub-benchmarks, the paper-grid fan-out sweep,
+# plus the bytecode compiler's opcode-mix census) and the root
+# interpreter benchmark, rendered to BENCH_PR12.json with the
+# speedup-ratio tables. Earlier BENCH_PR*.json files are checked-in
+# baselines; benchsmoke gates against the newest.
 bench:
-	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepBatched|SweepParallel|SweepEngines|BytecodeLowering' \
+	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|SweepEngines|BytecodeLowering' \
 		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench | tee bench.out
 	$(GO) test -run='^$$' -bench='^BenchmarkInterpreter$$' -benchmem -count=1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR10.json bench.out
+	$(GO) run ./cmd/benchjson -o BENCH_PR12.json bench.out
 	rm -f bench.out
 
 figures:

@@ -1,12 +1,8 @@
 // Command benchjson converts `go test -bench` output into a
-// machine-readable JSON summary (BENCH_PR10.json). It parses every
+// machine-readable JSON summary (BENCH_PR12.json). It parses every
 // benchmark line, keeps all reported metrics (ns/op, B/op, allocs/op,
-// and custom metrics like instrs/sec), and derives four ratio tables:
+// and custom metrics like instrs/sec), and derives these ratio tables:
 //
-//   - fanout_vs_perconfig: for each benchmark with /fanout and
-//     /per-config sub-benchmarks, the per-config÷fanout time ratio —
-//     the sweep wall-clock won by interpreting each program once and
-//     fanning the event stream out to every configuration's engine.
 //   - shadow_vs_legacy: for each benchmark with /shadow and /legacy-map
 //     sub-benchmarks, the legacy÷shadow time ratio and the per-op bytes
 //     saved — the cost of the differential oracle's map tracker relative
@@ -15,22 +11,24 @@
 //     /treewalk sub-benchmarks, the treewalk÷bytecode time ratio — the
 //     dispatch cost the register-based bytecode VM compiles away
 //     relative to the tree-walking oracle.
-//   - batched_vs_perevent: for each benchmark with /batched and
-//     /per-event sub-benchmarks, the per-event÷batched time ratio — the
-//     dispatch amortization won by feeding engines whole sealed event
-//     chunks (one tracker call per memory span) instead of one hook
-//     call per event.
 //   - parallel_vs_serial: for each benchmark with /parallel and /serial
 //     sub-benchmarks, the serial÷parallel time ratio — the multi-core
 //     scaling won by sharding engine classes across the class-affinity
-//     worker pool (Parallelism=NumCPU) against the single-goroutine
-//     chunked replay (Parallelism=1).
+//     worker pool (Parallelism=NumCPU) against inline replay on the
+//     interpreting goroutine (Parallelism=1).
 //   - seed_vs_current: current numbers against baselines measured at the
 //     pre-shadow-memory seed commit with identical access patterns.
+//
+// BENCH_PR5.json and BENCH_PR9.json preserve the retired
+// fanout_vs_perconfig and batched_vs_perevent tables, whose per-config
+// and per-event modes no longer exist.
 //
 // It also extracts BenchmarkBytecodeLowering's custom "op/<mnemonic>"
 // metrics into a bytecode_lowering table: the suite-wide static opcode
 // mix and superinstruction coverage of the bytecode compiler.
+//
+// The input may also be a BENCH_*.json written by benchjson itself, which
+// compares two checked-in files.
 //
 // With -compare, benchjson additionally loads a previous BENCH_*.json and
 // exits non-zero when any gated series regressed past -tolerance percent
@@ -45,13 +43,15 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_PR10.json
-//	go run ./cmd/benchjson -o BENCH_PR10.json bench.out
-//	go test -bench=. -benchtime=1x -benchmem ./... | go run ./cmd/benchjson -compare BENCH_PR10.json
+//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_PR12.json
+//	go run ./cmd/benchjson -o BENCH_PR12.json bench.out
+//	go test -bench=. -benchtime=1x -benchmem ./... | go run ./cmd/benchjson -compare BENCH_PR12.json
+//	go run ./cmd/benchjson -compare BENCH_PR10.json BENCH_PR12.json
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -119,29 +119,23 @@ var seedBaselines = map[string]seedBaseline{
 }
 
 // extraCurrent holds macro measurements that do not come from `go test
-// -bench` output and are injected into the report alongside the parsed
-// lines. Measured with `time ./lpbench > /dev/null` (all figures), best
-// of five on an otherwise idle single-core box. The /serial and
-// /parallel pair (best of three) is `-parallel 1` vs `-parallel 0`
-// (one pool worker per CPU): on the single-core measurement box
-// NumCPU=1, so the auto plan resolves both to the serial chunked path
-// and the ratio is ~1.0 — the cross-core speedup needs a multi-core
-// runner to manifest (forcing `-strategy parallel` on one core costs
-// ~16% in goroutine handoff, which is why the auto plan refuses it).
+// -bench` and are injected into the report alongside the parsed lines:
+// the wall time of `./lpbench > /dev/null` (all figures), the median of
+// ten alternated pairs of `-parallel 1` (/serial) and `-parallel 0`
+// (/parallel, one pool worker per CPU) on a 2-CPU box; the unsuffixed
+// row is the default width.
 var extraCurrent = map[string]map[string]float64{
-	"lpbench-all-figures":          {"sec/run": 0.923},
-	"lpbench-all-figures/serial":   {"sec/run": 1.079},
-	"lpbench-all-figures/parallel": {"sec/run": 1.074},
+	"lpbench-all-figures":          {"sec/run": 0.646},
+	"lpbench-all-figures/serial":   {"sec/run": 0.648},
+	"lpbench-all-figures/parallel": {"sec/run": 0.646},
 }
 
 type output struct {
 	Schema             string                      `json:"schema"`
 	Note               string                      `json:"note"`
 	Benchmarks         []Benchmark                 `json:"benchmarks"`
-	FanoutVsPerConfig  map[string]map[string]Ratio `json:"fanout_vs_perconfig"`
 	ShadowVsLegacy     map[string]map[string]Ratio `json:"shadow_vs_legacy"`
 	BytecodeVsTreewalk map[string]map[string]Ratio `json:"bytecode_vs_treewalk"`
-	BatchedVsPerEvent  map[string]map[string]Ratio `json:"batched_vs_perevent"`
 	ParallelVsSerial   map[string]map[string]Ratio `json:"parallel_vs_serial"`
 	BytecodeLowering   *loweringStats              `json:"bytecode_lowering,omitempty"`
 	SeedVsCurrent      map[string]map[string]Ratio `json:"seed_vs_current"`
@@ -302,8 +296,20 @@ func run() error {
 		defer f.Close()
 		in = f
 	}
-	benches, err := parse(in)
+	raw, err := io.ReadAll(in)
 	if err != nil {
+		return err
+	}
+	var benches []Benchmark
+	fromJSON := bytes.HasPrefix(bytes.TrimSpace(raw), []byte("{"))
+	if fromJSON {
+		// A previous benchjson output already carries its macro rows.
+		var doc baselineDoc
+		if err := json.Unmarshal(raw, &doc); err != nil {
+			return fmt.Errorf("parsing input: %v", err)
+		}
+		benches = doc.Benchmarks
+	} else if benches, err = parse(bytes.NewReader(raw)); err != nil {
 		return err
 	}
 	if len(benches) == 0 {
@@ -314,24 +320,13 @@ func run() error {
 	for _, b := range benches {
 		byName[b.Name] = b.Metrics
 	}
-	for name, metrics := range extraCurrent {
-		byName[name] = metrics
-		benches = append(benches, Benchmark{Name: name, Iterations: 1, Metrics: metrics})
+	if !fromJSON {
+		for name, metrics := range extraCurrent {
+			byName[name] = metrics
+			benches = append(benches, Benchmark{Name: name, Iterations: 1, Metrics: metrics})
+		}
 	}
 	sort.Slice(benches, func(i, j int) bool { return benches[i].Name < benches[j].Name })
-
-	fanoutVsPerConfig := map[string]map[string]Ratio{}
-	for name, fan := range byName {
-		root, ok := strings.CutSuffix(name, "/fanout")
-		if !ok {
-			continue
-		}
-		perConfig, ok := byName[root+"/per-config"]
-		if !ok {
-			continue
-		}
-		fanoutVsPerConfig[root] = ratios(perConfig, fan)
-	}
 
 	shadowVsLegacy := map[string]map[string]Ratio{}
 	for name, shadow := range byName {
@@ -357,19 +352,6 @@ func run() error {
 			continue
 		}
 		bytecodeVsTreewalk[root] = ratios(tw, bc)
-	}
-
-	batchedVsPerEvent := map[string]map[string]Ratio{}
-	for name, bat := range byName {
-		root, ok := strings.CutSuffix(name, "/batched")
-		if !ok {
-			continue
-		}
-		pe, ok := byName[root+"/per-event"]
-		if !ok {
-			continue
-		}
-		batchedVsPerEvent[root] = ratios(pe, bat)
 	}
 
 	parallelVsSerial := map[string]map[string]Ratio{}
@@ -411,19 +393,15 @@ func run() error {
 
 	doc := output{
 		Schema: "loopapalooza-bench/v3",
-		Note: "speedup >1 means current/fanout/shadow/bytecode/batched/parallel is better; seed " +
+		Note: "speedup >1 means current/shadow/bytecode/parallel is better; seed " +
 			"baselines measured at commit d237949 with identical access patterns, " +
 			"except BenchmarkInterpDispatch (measured at the pre-bytecode-VM commit). " +
-			"parallel_vs_serial compares Parallelism=NumCPU against Parallelism=1; on the " +
-			"single-core measurement box NumCPU=1, so both legs resolve to the serial " +
-			"chunked plan and the ratio is ~1.0 — re-run `make bench` on a multi-core " +
-			"runner to measure the cross-core scaling (the class-affinity pool shards " +
-			"the 14 paper-grid engine classes across workers).",
+			"parallel_vs_serial compares Parallelism=NumCPU against Parallelism=1 " +
+			"(inline replay on the interpreting goroutine); its ratio depends on the " +
+			"measuring box's core count.",
 		Benchmarks:         benches,
-		FanoutVsPerConfig:  fanoutVsPerConfig,
 		ShadowVsLegacy:     shadowVsLegacy,
 		BytecodeVsTreewalk: bytecodeVsTreewalk,
-		BatchedVsPerEvent:  batchedVsPerEvent,
 		ParallelVsSerial:   parallelVsSerial,
 		BytecodeLowering:   lowering,
 		SeedVsCurrent:      seedVsCurrent,

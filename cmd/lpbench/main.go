@@ -23,18 +23,17 @@
 //
 // Execution sharing and traces:
 //
-//	lpbench -fanout=false        # one interpretation per cell (baseline)
+//	lpbench -parallel 1          # replay every engine on the interpreting goroutine
 //	lpbench -trace-dir traces/   # record each execution's binary event trace
 //	lpbench -engine treewalk     # execute on the tree-walking oracle engine
-//	lpbench -parallel 1          # pin the fan-out worker pool to one worker
-//	lpbench -strategy chunked    # force a fan-out strategy (auto default)
 //
-// By default every benchmark is interpreted ONCE per sweep and the event
-// stream is fanned out to all configurations' engines (reports are
-// bit-identical to per-cell runs, at every -parallel width). -trace-dir
-// additionally records each execution as a replayable .lptrace file; a
-// stats footer on stderr counts the executions saved and names the
-// resolved fan-out strategy.
+// Every benchmark is interpreted ONCE per sweep and its event stream is
+// fanned out, as sealed chunks, to all configurations' engines. -parallel
+// sets the width: 0 (the default) shards the engines across one worker
+// per CPU, 1 replays them inline. Reports are bit-identical to per-cell
+// runs at every width. -trace-dir additionally records each execution as
+// a replayable .lptrace file; a stats footer on stderr counts the
+// executions saved and prints the resolved worker count.
 //
 // Profiling:
 //
@@ -70,11 +69,8 @@ func run() int {
 	keepGoing := flag.Bool("keep-going", true, "render figures over surviving cells instead of aborting on the first failure")
 	tracker := flag.String("tracker", "shadow", "dependence tracker: shadow or legacy-map (oracle)")
 	engineFlag := flag.String("engine", "bytecode", "execution engine: bytecode or treewalk (oracle)")
-	fanout := flag.Bool("fanout", true, "share one execution across all of a benchmark's configurations (reports are bit-identical either way)")
-	batch := flag.Bool("batch", true, "feed engines whole event chunks through the batched tracker path (per-event hook dispatch when off; reports are bit-identical either way)")
 	parallel := flag.Int("parallel", 0, "fan-out worker pool width per execution (0 = one worker per CPU, 1 = serial; reports are bit-identical at every width)")
-	strategy := flag.String("strategy", "auto", "fan-out strategy: auto, sequential, chunked, or parallel")
-	traceDir := flag.String("trace-dir", "", "record each benchmark execution's event trace into this directory (implies -fanout paths)")
+	traceDir := flag.String("trace-dir", "", "record each benchmark execution's event trace into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -90,11 +86,6 @@ func run() int {
 		return 2
 	}
 	engine, err := core.ParseEngineKind(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lpbench: %v\n", err)
-		return 2
-	}
-	strat, err := core.ParseFanoutStrategy(*strategy)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "lpbench: %v\n", err)
 		return 2
@@ -137,29 +128,22 @@ func run() int {
 			return 1
 		}
 	}
-	runOpts := core.RunOptions{
-		MaxSteps:     *maxSteps,
-		Timeout:      *timeout,
-		MaxHeapCells: *memLimit,
-		Tracker:      kind,
-		Engine:       engine,
-		DisableBatch: !*batch,
-		Strategy:     strat,
-		Parallelism:  *parallel,
-	}
 	h := bench.NewHarnessWith(bench.HarnessOptions{
-		Run:            runOpts,
+		Run: core.RunOptions{
+			MaxSteps:     *maxSteps,
+			Timeout:      *timeout,
+			MaxHeapCells: *memLimit,
+			Tracker:      kind,
+			Engine:       engine,
+			Parallelism:  *parallel,
+		},
 		RetryTransient: true,
-		DisableFanout:  !*fanout,
 		TraceDir:       *traceDir,
 	})
 	defer func() {
 		if st := h.Stats(); st.Executions > 0 {
-			// The plan for the full paper grid — what each fan-out sweep
-			// actually scheduled.
-			plan := core.PlanFanout(len(core.PaperConfigs()), runOpts)
-			fmt.Fprintf(os.Stderr, "lpbench: %d execution(s) under the %s engine served %d cell(s), %d saved by fan-out (strategy %s)",
-				st.Executions, engine, st.Cells, st.Saved, plan)
+			fmt.Fprintf(os.Stderr, "lpbench: %d execution(s) under the %s engine served %d cell(s), %d saved by fan-out (workers p=%d)",
+				st.Executions, engine, st.Cells, st.Saved, core.ResolveParallelism(*parallel))
 			if st.Traces > 0 {
 				fmt.Fprintf(os.Stderr, ", %d trace(s) recorded to %s", st.Traces, *traceDir)
 			}

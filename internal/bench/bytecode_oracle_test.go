@@ -3,7 +3,9 @@ package bench
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"loopapalooza/internal/core"
@@ -12,10 +14,10 @@ import (
 // TestBytecodeDifferentialOracle is the acceptance gate of the bytecode
 // VM: every benchmark of the suite, under the DOALL/PDOALL/HELIX oracle
 // grid, must produce Reports bit-identical to the tree-walking
-// interpreter — through the plain Run path, both fan-out strategies, and
-// a recorded-trace replay. Any divergence in instruction semantics, tick
-// accounting, loop-event placement, or memory behavior shows up as a
-// report diff.
+// interpreter — through the plain Run path, MultiRun inline and across
+// the worker pool, and a recorded-trace replay. Any divergence in
+// instruction semantics, tick accounting, loop-event placement, or memory
+// behavior shows up as a report diff.
 func TestBytecodeDifferentialOracle(t *testing.T) {
 	benchmarks := All()
 	if len(benchmarks) == 0 {
@@ -68,10 +70,10 @@ func TestBytecodeDifferentialOracle(t *testing.T) {
 				}
 			}
 			check("direct", direct, nil)
-			seq, err := core.MultiRunSequential(info, cfgs, core.RunOptions{Engine: core.EngineBytecode})
-			check("sequential", seq, err)
-			con, err := core.MultiRunConcurrent(info, cfgs, core.RunOptions{Engine: core.EngineBytecode})
-			check("concurrent", con, err)
+			for _, p := range []int{1, 2, runtime.NumCPU(), 64} {
+				multi, err := core.MultiRun(info, cfgs, core.RunOptions{Engine: core.EngineBytecode, Parallelism: p})
+				check(fmt.Sprintf("multirun-p%d", p), multi, err)
+			}
 			// A trace recorded under the bytecode engine replays to the
 			// treewalk reports — the binary event streams themselves are
 			// interchangeable.

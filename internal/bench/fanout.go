@@ -41,12 +41,11 @@ func (h *Harness) Stats() Stats {
 
 // sweepBench materializes every cell of one benchmark, sharing a single
 // execution across the configurations that are not already cached or in
-// flight. Benchmarks with a run hook (fault-injection seam), sweeps with
-// fan-out disabled, and single-config sweeps take the per-cell path.
+// flight. Benchmarks with a run hook (fault-injection seam) and
+// single-config sweeps take the per-cell path.
 func (h *Harness) sweepBench(ctx context.Context, b *Benchmark, cfgs []core.Config, analysisErr error) []Cell {
 	out := make([]Cell, len(cfgs))
-	if analysisErr != nil || ctx.Err() != nil || b.runHook != nil ||
-		h.opts.DisableFanout || len(cfgs) < 2 {
+	if analysisErr != nil || ctx.Err() != nil || b.runHook != nil || len(cfgs) < 2 {
 		for i, cfg := range cfgs {
 			out[i] = h.sweepCell(ctx, b, cfg, analysisErr)
 		}

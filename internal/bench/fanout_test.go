@@ -13,9 +13,10 @@ import (
 )
 
 // TestFanoutDifferentialOracle is the acceptance oracle of the run-once
-// layer: for every benchmark of the suite, both fan-out strategies AND a
+// layer: for every benchmark of the suite, MultiRun at every width AND a
 // recorded-trace replay must produce Reports bit-identical to per-config
-// core.Run, across the DOALL/PDOALL/HELIX oracle grid.
+// core.Run, across the DOALL/PDOALL/HELIX oracle grid. The traces MultiRun
+// records must be byte-identical to Run's.
 func TestFanoutDifferentialOracle(t *testing.T) {
 	benchmarks := All()
 	if len(benchmarks) == 0 {
@@ -54,13 +55,13 @@ func TestFanoutDifferentialOracle(t *testing.T) {
 					}
 				}
 			}
-			seq, err := core.MultiRunSequential(info, cfgs, core.RunOptions{})
-			check("sequential", seq, err)
-			con, err := core.MultiRunConcurrent(info, cfgs, core.RunOptions{})
-			check("concurrent", con, err)
-			for _, p := range []int{1, 2, runtime.NumCPU()} {
-				par, err := core.MultiRunParallel(info, cfgs, core.RunOptions{Parallelism: p})
-				check(fmt.Sprintf("parallel-p%d", p), par, err)
+			for _, p := range []int{1, 2, runtime.NumCPU(), 64} {
+				var got bytes.Buffer
+				par, err := core.MultiRun(info, cfgs, core.RunOptions{Parallelism: p, Trace: &got})
+				check(fmt.Sprintf("p%d", p), par, err)
+				if !bytes.Equal(trace.Bytes(), got.Bytes()) {
+					t.Errorf("p%d: recorded trace differs from Run's (%d vs %d bytes)", p, got.Len(), trace.Len())
+				}
 			}
 			rep, err := core.ReplayTraceMulti(b.Name, info, cfgs, core.RunOptions{}, bytes.NewReader(trace.Bytes()))
 			check("replay", rep, err)
@@ -70,7 +71,7 @@ func TestFanoutDifferentialOracle(t *testing.T) {
 
 // TestFanoutRaceStress feeds ≥8 concurrent engines from one execution on
 // the kernels with the densest event streams. Run under -race (make race)
-// this is the data-race gate for the chunked fan-out.
+// this is the data-race gate for the worker pool.
 func TestFanoutRaceStress(t *testing.T) {
 	cfgs := append(core.PaperConfigs(), core.BestPDOALL(), core.BestHELIX())
 	if len(cfgs) < 8 {
@@ -85,21 +86,17 @@ func TestFanoutRaceStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		reps, err := core.MultiRunConcurrent(info, cfgs, core.RunOptions{})
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(reps) != len(cfgs) {
-			t.Fatalf("%s: %d reports, want %d", name, len(reps), len(cfgs))
-		}
-		// The pool shape with shared workers: every engine class reads the
-		// same sealed chunks and span summaries from fewer goroutines.
-		reps, err = core.MultiRunParallel(info, cfgs, core.RunOptions{Parallelism: 2})
-		if err != nil {
-			t.Fatalf("%s: parallel p=2: %v", name, err)
-		}
-		if len(reps) != len(cfgs) {
-			t.Fatalf("%s: parallel p=2: %d reports, want %d", name, len(reps), len(cfgs))
+		// One worker per class, then the pool shape with shared workers:
+		// every engine class reads the same sealed chunks and span
+		// summaries, from fewer goroutines at p=2.
+		for _, p := range []int{64, 2} {
+			reps, err := core.MultiRun(info, cfgs, core.RunOptions{Parallelism: p})
+			if err != nil {
+				t.Fatalf("%s p=%d: %v", name, p, err)
+			}
+			if len(reps) != len(cfgs) {
+				t.Fatalf("%s p=%d: %d reports, want %d", name, p, len(reps), len(cfgs))
+			}
 		}
 	}
 }
@@ -119,29 +116,32 @@ func sweepBenches(t *testing.T) []*Benchmark {
 }
 
 // TestHarnessFanoutDedup: a sweep executes each benchmark once regardless
-// of configuration count, produces cells identical to a fan-out-disabled
-// harness, and a follow-up sweep only executes the genuinely new cells.
+// of configuration count, produces cells identical to per-config core.Run,
+// and a follow-up sweep only executes the genuinely new cells.
 func TestHarnessFanoutDedup(t *testing.T) {
 	benches := sweepBenches(t)
 	cfgs := []core.Config{{Model: core.DOALL}, core.BestPDOALL(), core.BestHELIX()}
 
 	fan := NewHarness()
-	per := NewHarnessWith(HarnessOptions{DisableFanout: true})
 	got := fan.Sweep(context.Background(), benches, cfgs)
-	want := per.Sweep(context.Background(), benches, cfgs)
-	if len(got.Cells) != len(want.Cells) {
-		t.Fatalf("cell count %d vs %d", len(got.Cells), len(want.Cells))
+	if len(got.Cells) != len(benches)*len(cfgs) {
+		t.Fatalf("cell count %d, want %d", len(got.Cells), len(benches)*len(cfgs))
 	}
-	for i := range got.Cells {
-		g, w := got.Cells[i], want.Cells[i]
-		if g.Bench != w.Bench || g.Config != w.Config {
-			t.Fatalf("cell %d order diverged: %s/%s vs %s/%s", i, g.Bench, g.Config, w.Bench, w.Config)
+	for i, g := range got.Cells {
+		b, cfg := benches[i/len(cfgs)], cfgs[i%len(cfgs)]
+		if g.Bench != b.Name || g.Config != cfg {
+			t.Fatalf("cell %d order diverged: %s/%s, want %s/%s", i, g.Bench, g.Config, b.Name, cfg)
 		}
-		if (g.Err == nil) != (w.Err == nil) {
-			t.Fatalf("cell %d error divergence: %v vs %v", i, g.Err, w.Err)
+		info, err := b.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, werr := core.Run(info, cfg, core.RunOptions{})
+		if (g.Err == nil) != (werr == nil) {
+			t.Fatalf("cell %d error divergence: %v vs %v", i, g.Err, werr)
 		}
 		if g.Err == nil {
-			if err := core.CompareReports(w.Report, g.Report); err != nil {
+			if err := core.CompareReports(want, g.Report); err != nil {
 				t.Errorf("cell %s/%s: %v", g.Bench, g.Config, err)
 			}
 		}
@@ -155,10 +155,6 @@ func TestHarnessFanoutDedup(t *testing.T) {
 	}
 	if st != wantStats {
 		t.Errorf("fan-out stats = %+v, want %+v", st, wantStats)
-	}
-	pst := per.Stats()
-	if pst.Saved != 0 || pst.Executions != int64(len(benches)*len(cfgs)) {
-		t.Errorf("per-config stats = %+v, want %d executions, 0 saved", pst, len(benches)*len(cfgs))
 	}
 
 	// A second sweep adding one config re-executes each benchmark once for

@@ -50,11 +50,10 @@ func BenchmarkSweepSuite(b *testing.B) {
 }
 
 // BenchmarkSweepFanout measures the full fourteen-configuration paper-grid
-// sweep of the EEMBC suite with the run-once fan-out against the
-// one-execution-per-cell baseline — the headline number of the run-once
-// layer (BENCH_PR5.json's fanout_vs_perconfig table). Reports are
-// bit-identical between the two modes; only the interpretation count
-// differs (1 vs 14 per benchmark).
+// sweep of the EEMBC suite through the run-once fan-out: one
+// interpretation per benchmark feeding every configuration's engine.
+// BENCH_PR5.json's fanout_vs_perconfig table preserves its ratio against
+// the one-execution-per-cell baseline.
 func BenchmarkSweepFanout(b *testing.B) {
 	benches := BySuite(SuiteEEMBC)
 	if len(benches) == 0 {
@@ -66,39 +65,25 @@ func BenchmarkSweepFanout(b *testing.B) {
 		}
 	}
 	cfgs := core.PaperConfigs()
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"fanout", false}, {"per-config", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := NewHarnessWith(HarnessOptions{DisableFanout: mode.disable})
-				sr := h.Sweep(context.Background(), benches, cfgs)
-				if sr.OK() != len(benches)*len(cfgs) {
-					b.Fatalf("sweep failures: %s", sr.Summary())
-				}
+	b.Run("fanout", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sr := NewHarness().Sweep(context.Background(), benches, cfgs)
+			if sr.OK() != len(benches)*len(cfgs) {
+				b.Fatalf("sweep failures: %s", sr.Summary())
 			}
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkSweepBatched measures the batched chunk-replay tracker path
-// against per-event hook dispatch over the same run-once fan-out: the full
-// paper-grid sweep of the EEMBC suite, with core.MultiRun feeding engines
-// whole sealed chunks (one tracker call per memory span per instance)
-// versus dispatching every event through the interp.Hooks interface.
-// Reports are bit-identical between the two modes — the differential
-// oracles pin that — so this pair isolates the dispatch-amortization win
-// (BENCH_PR9.json's batched_vs_perevent table).
-// BenchmarkSweepParallel measures the cross-core fan-out pool against the
-// single-goroutine chunked path on the same run-once sweep: the full
-// paper-grid sweep of the EEMBC suite at Parallelism 1 (serial, chunked
-// replay on one goroutine) versus one pool worker per CPU (engine classes
+// BenchmarkSweepParallel measures the cross-core worker pool against
+// inline replay on the same run-once sweep: the full paper-grid sweep of
+// the EEMBC suite at Parallelism 1 (every engine replayed on the
+// interpreting goroutine) versus one pool worker per CPU (engine classes
 // sharded by class affinity, all reading the shared span summaries).
 // Reports are bit-identical at every width — the differential oracles pin
 // that — so this pair isolates the multi-core scaling win
-// (BENCH_PR10.json's parallel_vs_serial table).
+// (BENCH_PR12.json's parallel_vs_serial table).
 func BenchmarkSweepParallel(b *testing.B) {
 	benches := BySuite(SuiteEEMBC)
 	if len(benches) == 0 {
@@ -118,34 +103,6 @@ func BenchmarkSweepParallel(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				h := NewHarnessWith(HarnessOptions{Run: core.RunOptions{Parallelism: mode.p}})
-				sr := h.Sweep(context.Background(), benches, cfgs)
-				if sr.OK() != len(benches)*len(cfgs) {
-					b.Fatalf("sweep failures: %s", sr.Summary())
-				}
-			}
-		})
-	}
-}
-
-func BenchmarkSweepBatched(b *testing.B) {
-	benches := BySuite(SuiteEEMBC)
-	if len(benches) == 0 {
-		b.Fatal("no EEMBC benchmarks registered")
-	}
-	for _, bm := range benches {
-		if _, err := bm.Analyze(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	cfgs := core.PaperConfigs()
-	for _, mode := range []struct {
-		name    string
-		disable bool
-	}{{"batched", false}, {"per-event", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := NewHarnessWith(HarnessOptions{Run: core.RunOptions{DisableBatch: mode.disable}})
 				sr := h.Sweep(context.Background(), benches, cfgs)
 				if sr.OK() != len(benches)*len(cfgs) {
 					b.Fatalf("sweep failures: %s", sr.Summary())

@@ -36,11 +36,6 @@ type HarnessOptions struct {
 	RetryTransient bool
 	// Workers bounds sweep concurrency (0 = GOMAXPROCS).
 	Workers int
-	// DisableFanout forces one execution per cell. The zero value shares
-	// one execution across all of a benchmark's configurations in a sweep
-	// (core.MultiRun); reports are bit-identical either way, so this is a
-	// debugging and benchmarking knob, not a correctness one.
-	DisableFanout bool
 	// TraceDir, when set, records each fan-out execution's event stream as
 	// a binary trace file (TraceFileName) in this directory.
 	TraceDir string
@@ -188,8 +183,8 @@ func (h *Harness) Sweep(ctx context.Context, benches []*Benchmark, cfgs []core.C
 	}
 
 	// One job per benchmark: all of a benchmark's cells share one
-	// execution through the fan-out layer (unless DisableFanout), so the
-	// unit of scheduling is the unit of execution.
+	// execution through the fan-out layer, so the unit of scheduling is
+	// the unit of execution.
 	type job struct {
 		i int
 		b *Benchmark

@@ -8,43 +8,38 @@ package core
 // amortizes the expensive producer (the interpreter) across N cheap
 // consumers (the engines).
 //
-// Three fan-out strategies, selected by RunOptions.Strategy (PlanFanout
-// resolves the auto default from configuration count and the Parallelism
-// knob):
+// There is one fan-out path. The producer (chunkTee) runs on the
+// interpreting goroutine and builds each chunk's SEALED batched-replay
+// plan at write time: every load/store address is classified into its
+// shadow region once, the records are partitioned into loop-event
+// singletons and memory spans — maximal stretches of loads, stores, and
+// interleaved ticks, with each record's intra-span clock offset
+// precomputed and ticks folded into the span — and each memory span gets
+// a conflict summary (spanSum: per-region load-index intervals,
+// homogeneous-kind flags, the self-conflict marker). The plan is shared
+// read-only by every engine, so N engines split the classification AND
+// summarization cost N ways: each feeds whole spans to the tracker's
+// batched memRun method (Engine.replayChunkBatched).
 //
-//   - Sequential tee (multiHooks): every event is forwarded to each engine
-//     on the interpreting goroutine. Engines consume events synchronously
-//     and never retain the interpreter's scratch slices, so no copying is
-//     needed and the zero-allocation hot path is preserved.
-//   - Class-affinity worker pool (multiRunPool/startWorkers): each event
-//     is copied ONCE into a pooled, fixed-size event chunk (flat records
-//     plus flat Val/LCDObs payload arrays — no per-event allocation), and
-//     full sealed chunks are published to one buffered channel per WORKER.
-//     Each worker owns a fixed round-robin subset of the coalesced engine
-//     classes (a class — and therefore its core-local shadow tracker —
-//     never migrates between workers, so no locks guard the SoA level
-//     slices), and replays chunks read-only; a reference count returns
-//     each chunk to the pool after the last worker. This is the one
-//     documented place that copies the interpreter's scratch buffers (see
-//     interp.Hooks), which is what makes the aliasing safe. The classic
-//     one-goroutine-per-engine fan-out (MultiRunConcurrent) is the
-//     workers == consumers special case.
-//   - Chunked batched tee (chunkTee): the single-goroutine variant for
-//     machines without spare CPUs — events buffer into the same chunks,
-//     and each sealed chunk replays into every engine through the batched
-//     tracker path (Engine.replayChunkBatched) instead of the per-event
-//     hook dispatch.
+// The worker count w = min(Parallelism resolved, coalesced classes) is
+// the only setting, and it is 1 below FanoutThreshold configurations:
 //
-// Sealing a chunk (evChunk.seal) classifies every memory address into its
-// shadow region once, partitions the records into loop-event singletons
-// and memory spans — maximal stretches of loads, stores, and interleaved
-// ticks, with each record's intra-span clock offset precomputed — and
-// summarizes each memory span's conflict structure (spanSum: per-region
-// load-index intervals, homogeneous-kind flags, the self-conflict marker).
-// The plan is built once per chunk and shared read-only by every consumer,
-// so N engines split the classification AND summarization cost N ways:
-// each feeds whole spans to the tracker's batched memRun method, which
-// consults the shared summary to skip provably hit-free probing.
+//   - w == 1: each full chunk replays inline, on the interpreting
+//     goroutine, into every engine; the one chunk is reused for the whole
+//     run.
+//   - w > 1: each full chunk is reference-counted and published to one
+//     buffered channel per worker of the class-affinity pool. Each worker
+//     owns a fixed round-robin subset of the coalesced engine classes (a
+//     class — and therefore its core-local shadow tracker — never
+//     migrates, so no locks guard the SoA level slices) and replays every
+//     chunk into them in group order; the last worker to finish returns
+//     the chunk to a free list of at most fanoutChunks chunks.
+//
+// Copying the interpreter's scratch payloads (EnterLoop init values,
+// IterLoop observations) into the chunk's flat arrays is the one copy of
+// the fan-out (see interp.Hooks). The trace writer needs the per-event
+// stream, so it tees off the producer directly and records the same bytes
+// at every width.
 //
 // The contract, enforced differentially against the golden suite: the
 // reports of MultiRun(info, cfgs, opts) are bit-identical to running
@@ -52,6 +47,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -61,62 +57,101 @@ import (
 	"loopapalooza/internal/interp"
 )
 
-// FanoutThreshold is the configuration count at or above which MultiRun
-// switches from the sequential tee to per-engine goroutines. Below it the
-// per-chunk synchronization costs more than the sequential engine work.
+// FanoutThreshold is the configuration count below which MultiRun replays
+// on the interpreting goroutine regardless of Parallelism: for so few
+// engines the per-chunk handoff costs more than the engine work it moves.
 const FanoutThreshold = 4
 
-// evKind tags one flattened instrumentation event.
+// ResolveParallelism maps RunOptions.Parallelism to the worker-pool width
+// MultiRun asks for: 0 (auto) means one worker per available CPU.
+func ResolveParallelism(p int) int {
+	if p <= 0 {
+		return runtime.GOMAXPROCS(0)
+	}
+	return p
+}
+
+// fanoutWorkers is the worker count of one MultiRun: the resolved
+// Parallelism clamped to the number of coalesced engine classes, and 1
+// below FanoutThreshold configurations.
+func fanoutWorkers(nCfgs, nClasses, parallelism int) int {
+	if nCfgs < FanoutThreshold {
+		return 1
+	}
+	return max(1, min(ResolveParallelism(parallelism), nClasses))
+}
+
+// evKind tags one loop-event record or one replay-plan span.
 type evKind uint8
 
 const (
-	evTick evKind = iota
-	evEnter
+	evEnter evKind = iota + 1
 	evIter
 	evExit
-	evLoad
-	evStore
+	// evMemSpan tags a runSpan covering a memory run: a maximal stretch
+	// of load, store, and tick events between loop events. It is a span
+	// kind only, never a record kind.
+	evMemSpan
 )
 
-// evRec is one instrumentation event in flattened form. Variable-length
-// payloads (EnterLoop init values, IterLoop observations) live in the
-// owning chunk's flat arrays, referenced by [off, off+n).
+// evRec is one loop event in flattened form. Variable-length payloads
+// (EnterLoop init values, IterLoop observations) live in the owning
+// chunk's flat arrays, referenced by [off, off+n).
 type evRec struct {
 	kind evKind
-	lm   *analysis.LoopMeta // enter/iter/exit
-	a    int64              // Tick n; Enter/Iter sp; Load/Store addr
-	off  int32              // payload start in the chunk's vals/obs
-	n    int32              // payload length
+	lm   *analysis.LoopMeta
+	a    int64 // stack pointer
+	off  int32 // payload start in the chunk's vals/obs
+	n    int32 // payload length
 }
 
-// chunkRecs is the record capacity of one event chunk. At 32 bytes per
-// record a chunk is ~128 KiB of hot, reused memory — large enough that
-// channel synchronization amortizes to well under a nanosecond per event.
-const chunkRecs = 4096
+// chunkRecs is the record capacity of one event chunk: loop and memory
+// records together; ticks take no record. At 32 bytes per record a chunk's
+// records are ~32 KiB of hot, reused memory — large enough that channel
+// synchronization amortizes to a few nanoseconds per event, small enough
+// that the chunks chunkPool keeps between runs hold little memory.
+const chunkRecs = 1024
 
-// evChunk is one batch of events plus the copied payloads. Consumers read
-// it strictly read-only; refs counts consumers that have not released it.
+// evChunk is one sealed batch of events: the replay plan plus the copied
+// payloads. Consumers read it strictly read-only; refs counts the pool
+// workers that have not released it.
 type evChunk struct {
-	recs []evRec
-	vals []interp.Val
-	obs  []interp.LCDObs
-	refs atomic.Int32
-
-	// Batched-replay plan, built once per chunk by seal and shared
-	// read-only by every consumer: the chunk's partition into spans, the
-	// dense memory-record array the spans index (kind, region
-	// classification, and intra-span tick offsets, in record order), and
-	// one conflict summary per memory span (flat, parallel slice indexed
-	// by runSpan.sumIdx) that every engine class consults before probing.
+	// The chunk's partition into spans; the loop-event records the
+	// singleton spans address; the dense memory-record array the memory
+	// spans index (kind, region classification, and intra-span tick
+	// offsets, in record order); and one conflict summary per memory span
+	// (indexed by runSpan.sumIdx) that every engine class consults before
+	// probing.
 	spans []runSpan
+	recs  []evRec
 	mem   []memEv
 	sums  []spanSum
+	vals  []interp.Val
+	obs   []interp.LCDObs
+	refs  atomic.Int32
 }
 
-// evMemSpan tags a runSpan covering a memory run: a maximal stretch of
-// load, store, and tick records between loop events. It is a span kind
-// only, never a record kind.
-const evMemSpan evKind = 0xFF
+// newChunk returns an empty chunk. Only the memory-record array, which
+// holds most of nearly every chunk, is sized up front; the rest grow to
+// what the program uses.
+func newChunk() *evChunk {
+	return &evChunk{mem: make([]memEv, 0, chunkRecs)}
+}
+
+// chunkPool recycles the producer's chunk, grown arrays included, across
+// runs: a steady stream of MultiRun and ReplayTraceMulti calls replaying
+// inline allocates no chunk memory. Each run returns exactly one chunk,
+// once no engine or worker can read it any more; the other chunks of a
+// pooled run are left to the GC, so that between runs chunkPool holds one
+// chunk per concurrent run rather than fanoutChunks.
+var chunkPool = sync.Pool{New: func() any { return newChunk() }}
+
+// getChunk returns an empty chunk from chunkPool.
+func getChunk() *evChunk {
+	c := chunkPool.Get().(*evChunk)
+	c.reset()
+	return c
+}
 
 // runSpan is one element of a sealed chunk's replay plan. Loop events
 // (enter/iter/exit) are singleton spans addressing recs[rec]; everything
@@ -133,91 +168,16 @@ type runSpan struct {
 
 // reset readies a recycled chunk for refilling.
 func (c *evChunk) reset() {
+	c.spans = c.spans[:0]
 	c.recs = c.recs[:0]
+	c.mem = c.mem[:0]
+	c.sums = c.sums[:0]
 	c.vals = c.vals[:0]
 	c.obs = c.obs[:0]
-	c.spans = c.spans[:0]
-	c.mem = c.mem[:0]
-	c.sums = c.sums[:0]
 }
 
-// seal builds the chunk's batched-replay plan. Every load/store address is
-// classified into its shadow region exactly once — all consumers share the
-// result — and the record sequence is partitioned into loop-event
-// singletons and memory spans. Ticks are folded INTO memory spans: the
-// producer interleaves a tick flush before nearly every memory event, so
-// same-kind record runs are almost always length one, but a memory span
-// only needs each record's clock offset (mTick) to replay stores and
-// conflict offsets exactly — which is what lets spans grow to hundreds of
-// records and the tracker amortize its dispatch across them.
-func (c *evChunk) seal() {
-	n := len(c.recs)
-	c.spans = c.spans[:0]
-	c.mem = c.mem[:0]
-	c.sums = c.sums[:0]
-	for i := 0; i < n; {
-		switch k := c.recs[i].kind; k {
-		case evEnter, evIter, evExit:
-			c.spans = append(c.spans, runSpan{kind: k, rec: int32(i)})
-			i++
-		default: // tick/load/store: one memory span
-			ms := int32(len(c.mem))
-			var sum int64
-		run:
-			for ; i < n; i++ {
-				r := &c.recs[i]
-				switch r.kind {
-				case evTick:
-					sum += r.a
-				case evLoad, evStore:
-					reg, idx := region(r.a)
-					c.mem = append(c.mem, memEv{
-						idx: idx, addr: r.a, tick: sum,
-						kind: uint8(r.kind - evLoad), // memLoad / memStore
-						reg:  int8(reg),
-					})
-				default:
-					break run
-				}
-			}
-			// The span-level precomputation: summarize once here, on the
-			// producer, so the N consumer classes share one conflict
-			// summary instead of each re-deriving what the span can hit.
-			si := int32(len(c.sums))
-			c.sums = append(c.sums, summarizeSpan(c.mem[ms:]))
-			c.spans = append(c.spans, runSpan{
-				kind: evMemSpan, mstart: ms, mend: int32(len(c.mem)), sumIdx: si, sum: sum,
-			})
-		}
-	}
-}
-
-// replayChunk applies one chunk of events, in order, to a synchronous
-// hooks consumer. The payload sub-slices alias the chunk; consumers follow
-// the interp.Hooks contract and do not retain them.
-func replayChunk(h interp.Hooks, c *evChunk) {
-	for i := range c.recs {
-		r := &c.recs[i]
-		switch r.kind {
-		case evTick:
-			h.Tick(r.a)
-		case evEnter:
-			h.EnterLoop(r.lm, r.a, c.vals[r.off:r.off+r.n])
-		case evIter:
-			h.IterLoop(r.lm, r.a, c.obs[r.off:r.off+r.n])
-		case evExit:
-			h.ExitLoop(r.lm)
-		case evLoad:
-			h.Load(r.a)
-		case evStore:
-			h.Store(r.a)
-		}
-	}
-}
-
-// replayChunkBatched applies one SEALED chunk to an engine through the
-// batched tracker path, the per-config compiled evaluator of the chunked
-// strategies:
+// replayChunkBatched applies one sealed chunk to an engine through the
+// batched tracker path:
 //
 //   - each memory span makes ONE tracker dispatch per live loop instance
 //     (Engine.memSpan → depTracker.memRun) instead of one per event, with
@@ -231,8 +191,9 @@ func replayChunk(h interp.Hooks, c *evChunk) {
 //     are skipped wholesale instead of being sliced and dispatched into
 //     code that discards them.
 //
-// The result is bit-identical to replayChunk feeding Engine's per-event
-// hooks; the oracle suites pin that equivalence.
+// The result is bit-identical to feeding the same events to Engine's
+// per-event hooks, which is what per-configuration Run does; the oracle
+// suites pin that equivalence.
 func (e *Engine) replayChunkBatched(c *evChunk) {
 	for si := range c.spans {
 		s := &c.spans[si]
@@ -262,9 +223,20 @@ func (e *Engine) replayChunkBatched(c *evChunk) {
 	}
 }
 
-// multiHooks is the sequential fan-out tee: events forward to every
-// consumer on the interpreting goroutine, scratch slices included — safe
-// because consumers are synchronous and non-retaining.
+// replayAll returns the replayer of one group of engines: every chunk is
+// applied to each engine in group order.
+func replayAll(engines []*Engine) func(*evChunk) {
+	return func(c *evChunk) {
+		for _, e := range engines {
+			e.replayChunkBatched(c)
+		}
+	}
+}
+
+// multiHooks forwards every event to each consumer on the calling
+// goroutine, scratch slices included — safe because consumers are
+// synchronous and non-retaining. It tees the trace writer off the
+// producer.
 type multiHooks struct{ hs []interp.Hooks }
 
 func (m *multiHooks) Tick(n int64) {
@@ -303,152 +275,31 @@ func (m *multiHooks) Store(addr int64) {
 	}
 }
 
-// chunkWriter accumulates hook events into the current chunk and invokes
-// onFull when it fills — the shared producer half of both chunked
-// strategies (concurrent fan-out and single-goroutine batched tee). It
-// runs on the interpreting goroutine; copying the scratch payload slices
-// into the chunk's flat arrays is the one copy of the fan-out.
-type chunkWriter struct {
-	cur    *evChunk
-	onFull func()
-}
-
-// rec appends one record, handing off the chunk when full.
-func (w *chunkWriter) rec(r evRec) {
-	c := w.cur
-	c.recs = append(c.recs, r)
-	if len(c.recs) == cap(c.recs) {
-		w.onFull()
-	}
-}
-
-// Tick implements interp.Hooks.
-func (w *chunkWriter) Tick(n int64) { w.rec(evRec{kind: evTick, a: n}) }
-
-// EnterLoop implements interp.Hooks: the init scratch slice is copied into
-// the chunk's flat payload array (the single copy of the fan-out).
-func (w *chunkWriter) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
-	c := w.cur
-	off := int32(len(c.vals))
-	c.vals = append(c.vals, init...)
-	w.rec(evRec{kind: evEnter, lm: lm, a: sp, off: off, n: int32(len(init))})
-}
-
-// IterLoop implements interp.Hooks: the obs scratch slice is copied into
-// the chunk's flat payload array (the single copy of the fan-out).
-func (w *chunkWriter) IterLoop(lm *analysis.LoopMeta, sp int64, obs []interp.LCDObs) {
-	c := w.cur
-	off := int32(len(c.obs))
-	c.obs = append(c.obs, obs...)
-	w.rec(evRec{kind: evIter, lm: lm, a: sp, off: off, n: int32(len(obs))})
-}
-
-// ExitLoop implements interp.Hooks.
-func (w *chunkWriter) ExitLoop(lm *analysis.LoopMeta) { w.rec(evRec{kind: evExit, lm: lm}) }
-
-// Load implements interp.Hooks.
-func (w *chunkWriter) Load(addr int64) { w.rec(evRec{kind: evLoad, a: addr}) }
-
-// Store implements interp.Hooks.
-func (w *chunkWriter) Store(addr int64) { w.rec(evRec{kind: evStore, a: addr}) }
-
-// chunkFanout is the concurrent fan-out producer: it copies each event
-// into the current chunk and publishes sealed full chunks to every
-// consumer channel. It runs on the interpreting goroutine.
-type chunkFanout struct {
-	chunkWriter
-	outs []chan *evChunk
-	pool chan *evChunk
-}
-
-// fanoutPoolSize bounds the chunk free list. With consumer channels of
-// depth fanoutChanDepth, the producer can run at most
-// pool+depth+2 chunks ahead of the slowest consumer.
-const (
-	fanoutPoolSize  = 8
-	fanoutChanDepth = 4
-)
-
-func newChunkFanout(n int) *chunkFanout {
-	f := &chunkFanout{
-		outs: make([]chan *evChunk, n),
-		pool: make(chan *evChunk, fanoutPoolSize),
-	}
-	for i := range f.outs {
-		f.outs[i] = make(chan *evChunk, fanoutChanDepth)
-	}
-	f.cur = f.newChunk()
-	f.onFull = f.flush
-	return f
-}
-
-func (f *chunkFanout) newChunk() *evChunk {
-	select {
-	case c := <-f.pool:
-		c.reset()
-		return c
-	default:
-		return &evChunk{recs: make([]evRec, 0, chunkRecs)}
-	}
-}
-
-// release returns a chunk whose last consumer finished to the pool.
-func (f *chunkFanout) release(c *evChunk) {
-	select {
-	case f.pool <- c:
-	default: // pool full: let the GC have it
-	}
-}
-
-// flush seals and publishes the current (non-empty) chunk to every
-// consumer. Sealing happens once here, on the producer, so the N consumers
-// share one classification pass.
-func (f *chunkFanout) flush() {
-	c := f.cur
-	if len(c.recs) == 0 {
-		return
-	}
-	c.seal()
-	c.refs.Store(int32(len(f.outs)))
-	for _, ch := range f.outs {
-		ch <- c
-	}
-	f.cur = f.newChunk()
-}
-
-// close flushes the tail chunk and closes every consumer channel.
-func (f *chunkFanout) close() {
-	f.flush()
-	for _, ch := range f.outs {
-		close(ch)
-	}
-}
-
-// chunkTee is the single-goroutine batched fan-out: events buffer into one
-// chunk, and every engine consumes each full chunk through the batched
-// tracker path. Because its only consumers are batched engines — per-event
-// hooks like the trace writer tee off the producer directly, see
-// MultiRunChunked — the tee builds the SEALED plan at write time: ticks
-// fold straight into the open memory span's sum, loads and stores append
-// classified memEv records, and only loop events materialize as evRecs.
-// The per-event record array and the separate seal pass of the concurrent
-// fan-out never exist on this path. One chunk is reused for the whole run;
-// there is no channel, no pool, no goroutine.
+// chunkTee is the fan-out producer: it builds the SEALED replay plan at
+// write time — ticks fold straight into the open memory span's sum, loads
+// and stores append classified memEv records, and only loop events
+// materialize as evRecs — and hands each full chunk to emit, which
+// returns the chunk to fill next (the same one after an inline replay, a
+// free one after a pool publication).
 type chunkTee struct {
-	engines []*Engine
-	cur     *evChunk
-	sum     int64 // Σ tick payloads of the open memory span
-	mstart  int32 // start of the open memory span in cur.mem
+	cur    *evChunk
+	sum    int64 // Σ tick payloads of the open memory span
+	mstart int32 // start of the open memory span in cur.mem
+	emit   func(*evChunk) *evChunk
 }
 
-func newChunkTee(engines []*Engine) *chunkTee {
-	return &chunkTee{
-		engines: engines,
-		cur: &evChunk{
-			recs: make([]evRec, 0, chunkRecs),
-			mem:  make([]memEv, 0, chunkRecs),
-		},
-	}
+func newChunkTee(emit func(*evChunk) *evChunk) *chunkTee {
+	return &chunkTee{cur: getChunk(), emit: emit}
+}
+
+// inlineTee is the w == 1 producer: each full chunk replays into every
+// engine on the producing goroutine and is then reused.
+func inlineTee(engines []*Engine) *chunkTee {
+	replay := replayAll(engines)
+	return newChunkTee(func(c *evChunk) *evChunk {
+		replay(c)
+		return c
+	})
 }
 
 // closeMemSpan ends the open memory span, emitting it — with its shared
@@ -473,7 +324,17 @@ func (t *chunkTee) loopRec(r evRec) {
 	c := t.cur
 	c.spans = append(c.spans, runSpan{kind: r.kind, rec: int32(len(c.recs))})
 	c.recs = append(c.recs, r)
-	if len(c.recs) >= chunkRecs {
+	if len(c.recs)+len(c.mem) >= chunkRecs {
+		t.flush()
+	}
+}
+
+// memRec appends one classified memory record to the open span.
+func (t *chunkTee) memRec(addr int64, kind uint8) {
+	r, idx := region(addr)
+	c := t.cur
+	c.mem = append(c.mem, memEv{idx: idx, addr: addr, tick: t.sum, kind: kind, reg: int8(r)})
+	if len(c.recs)+len(c.mem) >= chunkRecs {
 		t.flush()
 	}
 }
@@ -483,24 +344,10 @@ func (t *chunkTee) loopRec(r evRec) {
 func (t *chunkTee) Tick(n int64) { t.sum += n }
 
 // Load implements interp.Hooks.
-func (t *chunkTee) Load(addr int64) {
-	r, idx := region(addr)
-	c := t.cur
-	c.mem = append(c.mem, memEv{idx: idx, addr: addr, tick: t.sum, kind: memLoad, reg: int8(r)})
-	if len(c.mem) >= chunkRecs {
-		t.flush()
-	}
-}
+func (t *chunkTee) Load(addr int64) { t.memRec(addr, memLoad) }
 
 // Store implements interp.Hooks.
-func (t *chunkTee) Store(addr int64) {
-	r, idx := region(addr)
-	c := t.cur
-	c.mem = append(c.mem, memEv{idx: idx, addr: addr, tick: t.sum, kind: memStore, reg: int8(r)})
-	if len(c.mem) >= chunkRecs {
-		t.flush()
-	}
-}
+func (t *chunkTee) Store(addr int64) { t.memRec(addr, memStore) }
 
 // EnterLoop implements interp.Hooks: the init scratch slice is copied into
 // the chunk's flat payload array.
@@ -523,49 +370,198 @@ func (t *chunkTee) IterLoop(lm *analysis.LoopMeta, sp int64, obs []interp.LCDObs
 // ExitLoop implements interp.Hooks.
 func (t *chunkTee) ExitLoop(lm *analysis.LoopMeta) { t.loopRec(evRec{kind: evExit, lm: lm}) }
 
-// flush replays the buffered plan into every engine and resets the chunk
-// for refilling. A memory span interrupted by a flush simply splits in
-// two, which is exact: the engine adds the first part's tick sum to its
-// clock before the second part computes offsets against the updated
-// clock. Call once more after the producer finishes to drain the partial
-// tail.
+// flush hands the buffered plan to emit and readies the next chunk. A
+// memory span interrupted by a flush simply splits in two, which is
+// exact: the engine adds the first part's tick sum to its clock before
+// the second part computes offsets against the updated clock. Call once
+// more after the producer finishes to drain the partial tail.
 func (t *chunkTee) flush() {
 	t.closeMemSpan()
-	c := t.cur
-	if len(c.spans) == 0 {
+	if len(t.cur.spans) == 0 {
 		return
 	}
-	for _, e := range t.engines {
-		e.replayChunkBatched(c)
-	}
-	c.reset()
+	t.cur = t.emit(t.cur)
+	t.cur.reset()
 	t.mstart = 0
+}
+
+// finish drains the partial tail chunk and returns the producer's chunk
+// to chunkPool. Call it once, after the producer's last event.
+func (t *chunkTee) finish() {
+	t.flush()
+	chunkPool.Put(t.cur)
+	t.cur = nil
+}
+
+// fanoutChunks bounds the chunks one pooled MultiRun ever holds: the
+// producer fills one while the workers replay the others, and blocks for
+// a released chunk once all of them are in flight. The bound keeps a
+// run's chunk memory to a few chunks however far the interpreter could
+// run ahead of the slowest worker.
+const fanoutChunks = 4
+
+// workerPool is the w > 1 consumer side: one goroutine per replay group,
+// each fed sealed chunks through its own FIFO channel. A group's engines
+// are only ever touched from its worker, so they need no locks, and each
+// channel delivers chunks in publication order however the workers
+// interleave — which is what keeps reports bit-identical at every width.
+type workerPool struct {
+	outs     []chan *evChunk
+	free     chan *evChunk // released chunks; never more than fanoutChunks
+	made     int           // chunks allocated so far, the producer's first included
+	wg       sync.WaitGroup
+	panicked atomic.Pointer[PanicError]
+}
+
+// startWorkers launches one worker per replayer. Channels hold every
+// chunk the pool can allocate, so the producer only ever waits for a
+// free chunk, never on a send.
+func startWorkers(replayers []func(*evChunk)) *workerPool {
+	p := &workerPool{
+		outs: make([]chan *evChunk, len(replayers)),
+		free: make(chan *evChunk, fanoutChunks),
+		made: 1,
+	}
+	for i, replay := range replayers {
+		p.outs[i] = make(chan *evChunk, fanoutChunks)
+		p.wg.Add(1)
+		go p.work(p.outs[i], replay)
+	}
+	return p
+}
+
+// work replays every chunk of ch, then releases it. After a panic the
+// worker keeps draining its channel without replaying, so the producer
+// never blocks on it, sibling workers keep running, and reference counts
+// stay balanced; close reports the first panic.
+func (p *workerPool) work(ch chan *evChunk, replay func(*evChunk)) {
+	defer p.wg.Done()
+	dead := false
+	for c := range ch {
+		if !dead {
+			dead = !p.apply(replay, c)
+		}
+		if c.refs.Add(-1) == 0 {
+			p.free <- c
+		}
+	}
+}
+
+// apply replays one chunk, recovering a panic into the pool's first
+// *PanicError; it reports whether the replay completed.
+func (p *workerPool) apply(replay func(*evChunk), c *evChunk) (ok bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			p.panicked.CompareAndSwap(nil, &PanicError{Val: r, Stack: string(debug.Stack())})
+		}
+	}()
+	replay(c)
+	return true
+}
+
+// publish hands one sealed chunk to every worker and returns a chunk for
+// the producer to fill next: a released one when there is one, a new one
+// while fewer than fanoutChunks exist, and otherwise the next to be
+// released.
+func (p *workerPool) publish(c *evChunk) *evChunk {
+	c.refs.Store(int32(len(p.outs)))
+	for _, ch := range p.outs {
+		ch <- c
+	}
+	if p.made < fanoutChunks {
+		select {
+		case next := <-p.free:
+			return next
+		default:
+			p.made++
+			return newChunk()
+		}
+	}
+	return <-p.free
+}
+
+// close ends the run: it closes every channel, waits for the workers to
+// drain them, and returns the first worker panic, if any.
+func (p *workerPool) close() *PanicError {
+	for _, ch := range p.outs {
+		close(ch)
+	}
+	p.wg.Wait()
+	return p.panicked.Load()
+}
+
+// affinityGroups partitions items round-robin across at most workers
+// groups: item i is pinned to group i%workers for the whole run. The items
+// are the coalesced engine classes, so the assignment is the pool's class
+// affinity — a class never migrates between workers.
+func affinityGroups[T any](items []T, workers int) [][]T {
+	workers = max(1, min(workers, len(items)))
+	groups := make([][]T, workers)
+	for i, it := range items {
+		groups[i%workers] = append(groups[i%workers], it)
+	}
+	return groups
 }
 
 // MultiRun executes the analyzed module's main function ONCE and evaluates
 // every configuration against the shared event stream, returning one
 // report per configuration, in order. The reports are bit-identical to
-// running Run once per configuration; an execution failure (budget trip,
-// guest fault, cancellation) is returned once and applies to every
-// configuration, exactly as N identical executions would each have failed.
-//
-// The strategy is opts.Strategy, resolved by PlanFanout: under the auto
-// default, small configuration sets (< FanoutThreshold) evaluate
-// sequentially on the interpreting goroutine, larger sets use the chunked
-// batched tee when only one worker is available (goroutine fan-out adds
-// synchronization without parallelism there), and otherwise shard sealed
-// chunks across the class-affinity worker pool, opts.Parallelism workers
-// wide. opts.DisableBatch forces the per-event hook dispatch everywhere
-// (profiling/differential toggle).
-func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) ([]*Report, error) {
-	switch plan := PlanFanout(len(cfgs), opts); plan.Strategy {
-	case StrategySequential:
-		return MultiRunSequential(info, cfgs, opts)
-	case StrategyChunked:
-		return MultiRunChunked(info, cfgs, opts)
-	default:
-		return multiRunPool(info, cfgs, opts, plan.Parallelism)
+// running Run once per configuration, and a recorded opts.Trace is
+// byte-identical to Run's, at every opts.Parallelism; an execution failure
+// (budget trip, guest fault, cancellation) is returned once and applies to
+// every configuration, exactly as N identical executions would each have
+// failed.
+func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps []*Report, err error) {
+	var pool *workerPool // set while workers run
+	defer func() {
+		if r := recover(); r != nil {
+			if pool != nil {
+				pool.close() // a panicking producer still stops its workers
+			}
+			reps, err = nil, fmt.Errorf("core: %s: %w", info.Mod.Name,
+				&PanicError{Val: r, Stack: string(debug.Stack())})
+		}
+	}()
+	set, err := prepareEngines(info, cfgs, opts.Tracker)
+	if err != nil {
+		return nil, err
 	}
+	var t *chunkTee
+	if w := fanoutWorkers(len(cfgs), len(set.engines), opts.Parallelism); w == 1 {
+		t = inlineTee(set.engines)
+	} else {
+		groups := affinityGroups(set.engines, w)
+		replayers := make([]func(*evChunk), len(groups))
+		for i, g := range groups {
+			replayers[i] = replayAll(g)
+		}
+		pool = startWorkers(replayers)
+		t = newChunkTee(pool.publish)
+	}
+	var hooks interp.Hooks = t
+	tw := traceSink(info, opts)
+	if tw != nil {
+		hooks = &multiHooks{hs: []interp.Hooks{t, tw}}
+	}
+
+	runErr := interpret(info, opts, hooks)
+	t.finish()
+	if pool != nil {
+		p := pool.close()
+		pool = nil
+		if p != nil {
+			return nil, fmt.Errorf("core: %s: %w", info.Mod.Name, p)
+		}
+	}
+	if runErr != nil {
+		return nil, runErr
+	}
+	if tw != nil {
+		if err := tw.Close(); err != nil {
+			return nil, fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, err)
+		}
+	}
+	return set.reports(cfgs, info.Mod.Name), nil
 }
 
 // interpret runs main under the selected execution engine with the given
@@ -589,227 +585,11 @@ func interpret(info *analysis.ModuleInfo, opts RunOptions, hooks interp.Hooks) e
 	return nil
 }
 
-// traceSink wraps the optional opts.Trace writer into a fan-out consumer,
-// returning the hook to append (nil when tracing is off).
+// traceSink wraps the optional opts.Trace writer, returning nil when
+// tracing is off.
 func traceSink(info *analysis.ModuleInfo, opts RunOptions) *TraceWriter {
 	if opts.Trace == nil {
 		return nil
 	}
 	return NewTraceWriter(opts.Trace, info)
-}
-
-// MultiRunSequential is MultiRun restricted to the sequential tee: every
-// engine consumes events on the interpreting goroutine. Exported so the
-// differential oracle can pin both fan-out strategies explicitly.
-func MultiRunSequential(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps []*Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			reps, err = nil, fmt.Errorf("core: %s: %w", info.Mod.Name,
-				&PanicError{Val: r, Stack: string(debug.Stack())})
-		}
-	}()
-	set, err := prepareEngines(info, cfgs, opts.Tracker)
-	if err != nil {
-		return nil, err
-	}
-	hooks := make([]interp.Hooks, len(set.engines))
-	for i, e := range set.engines {
-		hooks[i] = e
-	}
-	tw := traceSink(info, opts)
-	if tw != nil {
-		hooks = append(hooks, tw)
-	}
-	if err := interpret(info, opts, &multiHooks{hs: hooks}); err != nil {
-		return nil, err
-	}
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			return nil, fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, err)
-		}
-	}
-	return set.reports(cfgs, info.Mod.Name), nil
-}
-
-// MultiRunChunked is MultiRun restricted to the single-goroutine batched
-// tee: events buffer into chunks on the interpreting goroutine, and every
-// engine consumes each sealed chunk through the batched tracker path. The
-// default for large configuration sets on single-CPU machines; exported so
-// the differential oracle can pin this strategy explicitly.
-func MultiRunChunked(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps []*Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			reps, err = nil, fmt.Errorf("core: %s: %w", info.Mod.Name,
-				&PanicError{Val: r, Stack: string(debug.Stack())})
-		}
-	}()
-	set, err := prepareEngines(info, cfgs, opts.Tracker)
-	if err != nil {
-		return nil, err
-	}
-	t := newChunkTee(set.engines)
-	var hooks interp.Hooks = t
-	tw := traceSink(info, opts)
-	if tw != nil {
-		// The trace writer needs the per-event stream; it tees off the
-		// producer directly, ahead of the batched tee, so recorded bytes
-		// are identical to every other strategy's.
-		hooks = &multiHooks{hs: []interp.Hooks{t, tw}}
-	}
-	if err := interpret(info, opts, hooks); err != nil {
-		return nil, err
-	}
-	t.flush() // drain the partial tail chunk
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			return nil, fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, err)
-		}
-	}
-	return set.reports(cfgs, info.Mod.Name), nil
-}
-
-// startWorkers launches the class-affinity worker pool: one goroutine per
-// consumer group, each replaying every published chunk into its group's
-// consumers IN GROUP ORDER — engines through the batched path when batch
-// is set, everything else through the generic per-event dispatch. A
-// consumer belongs to exactly one worker for the whole run, so its state
-// (in particular an engine's core-local shadow tracker) is only ever
-// touched from one goroutine and needs no locks; determinism follows
-// because each worker's channel delivers chunks in publication order
-// regardless of how the workers interleave.
-//
-// The returned wait function blocks until every channel is drained (call
-// it after f.close()) and reports the first worker panic, if any, as a
-// typed *PanicError. A panicked worker keeps draining its channel without
-// applying events, so the producer never blocks on it, the sibling
-// workers keep running, and chunk reference counts stay balanced.
-func startWorkers(f *chunkFanout, groups [][]interp.Hooks, batch bool) (wait func() *PanicError) {
-	var wg sync.WaitGroup
-	var workerPanic atomic.Pointer[PanicError]
-	for i, group := range groups {
-		wg.Add(1)
-		engs := make([]*Engine, len(group))
-		if batch {
-			for j, h := range group {
-				engs[j], _ = h.(*Engine)
-			}
-		}
-		go func(group []interp.Hooks, engs []*Engine, ch chan *evChunk) {
-			defer wg.Done()
-			dead := false // after a panic, drain without applying
-			for c := range ch {
-				if !dead {
-					func() {
-						defer func() {
-							if r := recover(); r != nil {
-								dead = true
-								workerPanic.CompareAndSwap(nil,
-									&PanicError{Val: r, Stack: string(debug.Stack())})
-							}
-						}()
-						for j, h := range group {
-							if engs[j] != nil {
-								engs[j].replayChunkBatched(c)
-							} else {
-								replayChunk(h, c)
-							}
-						}
-					}()
-				}
-				if c.refs.Add(-1) == 0 {
-					f.release(c)
-				}
-			}
-		}(group, engs, f.outs[i])
-	}
-	return func() *PanicError {
-		wg.Wait()
-		return workerPanic.Load()
-	}
-}
-
-// affinityGroups partitions the consumers round-robin across at most
-// workers groups: consumer i is pinned to group i%workers for the whole
-// run. The consumers are the coalesced engine classes (plus the optional
-// trace writer), so the assignment is the pool's class affinity — a class
-// never migrates between workers.
-func affinityGroups(consumers []interp.Hooks, workers int) [][]interp.Hooks {
-	if workers > len(consumers) {
-		workers = len(consumers)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	groups := make([][]interp.Hooks, workers)
-	for i, h := range consumers {
-		groups[i%workers] = append(groups[i%workers], h)
-	}
-	return groups
-}
-
-// multiRunPool is the shared body of the pooled strategies: interpret once
-// on the calling goroutine, fan sealed chunks out to workers many groups
-// of consumers. workers <= 0 means one worker per consumer (the classic
-// concurrent fan-out).
-func multiRunPool(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions, workers int) (reps []*Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			reps, err = nil, fmt.Errorf("core: %s: %w", info.Mod.Name,
-				&PanicError{Val: r, Stack: string(debug.Stack())})
-		}
-	}()
-	set, err := prepareEngines(info, cfgs, opts.Tracker)
-	if err != nil {
-		return nil, err
-	}
-	consumers := make([]interp.Hooks, len(set.engines))
-	for i, e := range set.engines {
-		consumers[i] = e
-	}
-	tw := traceSink(info, opts)
-	if tw != nil {
-		consumers = append(consumers, tw)
-	}
-	if workers <= 0 {
-		workers = len(consumers)
-	}
-
-	groups := affinityGroups(consumers, workers)
-	f := newChunkFanout(len(groups))
-	wait := startWorkers(f, groups, !opts.DisableBatch)
-
-	runErr := interpret(info, opts, f)
-	f.close()
-
-	if p := wait(); p != nil {
-		return nil, fmt.Errorf("core: %s: %w", info.Mod.Name, p)
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			return nil, fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, err)
-		}
-	}
-	return set.reports(cfgs, info.Mod.Name), nil
-}
-
-// MultiRunParallel is MultiRun restricted to the class-affinity worker
-// pool: opts.Parallelism workers (0 = one per available CPU), each owning
-// a fixed subset of the coalesced engine classes, fed by pooled sealed
-// chunks. Reports and recorded traces are bit-identical at every worker
-// count. Exported so the differential oracles and the determinism tests
-// can pin the strategy and the worker count explicitly.
-func MultiRunParallel(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) ([]*Report, error) {
-	return multiRunPool(info, cfgs, opts, resolveParallelism(opts.Parallelism))
-}
-
-// MultiRunConcurrent is MultiRun restricted to the widest pool: one worker
-// per engine class, fed by pooled event chunks — the historical concurrent
-// fan-out, now the workers == consumers special case of multiRunPool.
-// Exported so the differential oracle and the race stress test can pin
-// this strategy regardless of configuration count.
-func MultiRunConcurrent(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) ([]*Report, error) {
-	return multiRunPool(info, cfgs, opts, 0)
 }

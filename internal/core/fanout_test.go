@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/interp"
@@ -28,31 +29,15 @@ var fanoutSamples = map[string]string{
 	"stack":         stackSrc,
 }
 
-// parallelAt pins the class-affinity pool at an explicit worker count.
-func parallelAt(p int, disableBatch bool) func(*analysis.ModuleInfo, []Config, RunOptions) ([]*Report, error) {
-	return func(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) ([]*Report, error) {
-		opts.Parallelism = p
-		opts.DisableBatch = disableBatch
-		return MultiRunParallel(info, cfgs, opts)
-	}
-}
-
-// multiStrategies pins every fan-out strategy regardless of config count
-// or GOMAXPROCS, including the worker pool at fixed widths: 1 worker (all
-// classes on one goroutine), 2 (classes split), NumCPU (the auto width),
-// and a per-event pool variant.
-var multiStrategies = map[string]func(*analysis.ModuleInfo, []Config, RunOptions) ([]*Report, error){
-	"sequential": MultiRunSequential,
-	"concurrent": MultiRunConcurrent,
-	"chunked":    MultiRunChunked,
-	"concurrent-no-batch": func(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) ([]*Report, error) {
-		opts.DisableBatch = true
-		return MultiRunConcurrent(info, cfgs, opts)
-	},
-	"parallel-p1":          parallelAt(1, false),
-	"parallel-p2":          parallelAt(2, false),
-	"parallel-pcpu":        parallelAt(runtime.NumCPU(), false),
-	"parallel-p3-no-batch": parallelAt(3, true),
+// multiWidths pins MultiRun's worker count: 1 (every engine replayed
+// inline on the interpreting goroutine), 2 (classes split across two
+// workers), NumCPU (the auto width), and 64, which exceeds the class
+// count and so gives one worker per class.
+var multiWidths = map[string]int{
+	"p1":   1,
+	"p2":   2,
+	"pcpu": runtime.NumCPU(),
+	"p64":  64,
 }
 
 // TestMultiRunBitIdentical is the in-package differential oracle: for every
@@ -71,24 +56,24 @@ func TestMultiRunBitIdentical(t *testing.T) {
 				t.Fatalf("%s/%s: %v", name, cfg, err)
 			}
 		}
-		for strat, run := range multiStrategies {
-			got, err := run(info, cfgs, RunOptions{})
+		for width, p := range multiWidths {
+			got, err := MultiRun(info, cfgs, RunOptions{Parallelism: p})
 			if err != nil {
-				t.Fatalf("%s/%s: %v", name, strat, err)
+				t.Fatalf("%s/%s: %v", name, width, err)
 			}
 			if len(got) != len(cfgs) {
-				t.Fatalf("%s/%s: %d reports, want %d", name, strat, len(got), len(cfgs))
+				t.Fatalf("%s/%s: %d reports, want %d", name, width, len(got), len(cfgs))
 			}
 			for i := range cfgs {
 				if err := CompareReports(want[i], got[i]); err != nil {
-					t.Errorf("%s/%s/%s: %v", name, strat, cfgs[i], err)
+					t.Errorf("%s/%s/%s: %v", name, width, cfgs[i], err)
 				}
 			}
 		}
 	}
 }
 
-// TestMultiRunAutoSelect exercises MultiRun's strategy choice on both sides
+// TestMultiRunAutoSelect exercises MultiRun's default width on both sides
 // of the threshold.
 func TestMultiRunAutoSelect(t *testing.T) {
 	info, err := AnalyzeSource("auto", infrequentSrc)
@@ -96,9 +81,9 @@ func TestMultiRunAutoSelect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfgs := range [][]Config{
-		{{Model: DOALL}, BestPDOALL()},                                  // below threshold: sequential tee
-		{{Model: DOALL}, {Model: PDOALL}, BestPDOALL(), BestHELIX()},    // at threshold: concurrent
-		append(PaperConfigs(), PaperConfigs()...),                       // well above: concurrent
+		{{Model: DOALL}, BestPDOALL()},                               // below threshold: one worker
+		{{Model: DOALL}, {Model: PDOALL}, BestPDOALL(), BestHELIX()}, // at threshold: auto width
+		append(PaperConfigs(), PaperConfigs()...),                    // well above: auto width
 	} {
 		got, err := MultiRun(info, cfgs, RunOptions{})
 		if err != nil {
@@ -124,30 +109,30 @@ func TestMultiRunEmptyAndInvalid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for strat, run := range multiStrategies {
-		reps, err := run(info, nil, RunOptions{})
+	for width, p := range multiWidths {
+		reps, err := MultiRun(info, nil, RunOptions{Parallelism: p})
 		if err != nil || len(reps) != 0 {
-			t.Errorf("%s: empty cfgs = (%v, %v), want no reports, no error", strat, reps, err)
+			t.Errorf("%s: empty cfgs = (%v, %v), want no reports, no error", width, reps, err)
 		}
 		bad := []Config{{Model: DOALL}, {Model: DOALL, Dep: 99}}
-		if _, err := run(info, bad, RunOptions{}); err == nil {
-			t.Errorf("%s: invalid config accepted", strat)
+		if _, err := MultiRun(info, bad, RunOptions{Parallelism: p}); err == nil {
+			t.Errorf("%s: invalid config accepted", width)
 		}
 	}
 }
 
 // TestMultiRunExecutionError: a budget trip surfaces once, classified
-// exactly as a per-config Run would classify it, from both strategies.
+// exactly as a per-config Run would classify it, at every width.
 func TestMultiRunExecutionError(t *testing.T) {
 	info, err := AnalyzeSource("budget", doallSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := []Config{{Model: DOALL}, BestPDOALL(), BestHELIX(), {Model: PDOALL}}
-	for strat, run := range multiStrategies {
-		_, err := run(info, cfgs, RunOptions{MaxSteps: 10})
+	for width, p := range multiWidths {
+		_, err := MultiRun(info, cfgs, RunOptions{MaxSteps: 10, Parallelism: p})
 		if !errors.Is(err, ErrStepLimit) {
-			t.Errorf("%s: err = %v, want ErrStepLimit", strat, err)
+			t.Errorf("%s: err = %v, want ErrStepLimit", width, err)
 		}
 	}
 }
@@ -166,17 +151,17 @@ func (f *failWriter) Write(p []byte) (int, error) {
 }
 
 // TestMultiRunTraceWriteFailure: a failing trace sink fails the run from
-// every entry point that records.
+// every width and from Run.
 func TestMultiRunTraceWriteFailure(t *testing.T) {
 	info, err := AnalyzeSource("sink", doallSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfgs := []Config{{Model: DOALL}, BestPDOALL(), BestHELIX(), {Model: PDOALL}}
-	for strat, run := range multiStrategies {
-		_, err := run(info, cfgs, RunOptions{Trace: &failWriter{n: 100}})
+	for width, p := range multiWidths {
+		_, err := MultiRun(info, cfgs, RunOptions{Trace: &failWriter{n: 100}, Parallelism: p})
 		if err == nil || !strings.Contains(err.Error(), "writing trace") {
-			t.Errorf("%s: err = %v, want trace write failure", strat, err)
+			t.Errorf("%s: err = %v, want trace write failure", width, err)
 		}
 	}
 	if _, err := Run(info, Config{Model: DOALL}, RunOptions{Trace: &failWriter{n: 100}}); err == nil ||
@@ -185,31 +170,106 @@ func TestMultiRunTraceWriteFailure(t *testing.T) {
 	}
 }
 
-// eventLog records every hook event in a retained, comparable form — the
-// reference consumer for the chunk fan-out round trip.
-type eventLog struct{ events []string }
+// eventLog records every hook event in a retained, comparable form. Ticks
+// fold into a running clock that stamps each event: the form a sealed
+// chunk preserves, since the producer folds ticks into span sums while
+// keeping every memory record's exact clock offset.
+type eventLog struct {
+	clock  int64
+	events []string
+}
 
-func (l *eventLog) Tick(n int64) { l.events = append(l.events, fmt.Sprintf("tick %d", n)) }
+func (l *eventLog) Tick(n int64) { l.clock += n }
 
 func (l *eventLog) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
-	l.events = append(l.events, fmt.Sprintf("enter %s sp=%d init=%v", lm.ID(), sp, init))
+	l.events = append(l.events, fmt.Sprintf("@%d enter %s sp=%d init=%v", l.clock, lm.ID(), sp, init))
 }
 
 func (l *eventLog) IterLoop(lm *analysis.LoopMeta, sp int64, obs []interp.LCDObs) {
-	l.events = append(l.events, fmt.Sprintf("iter %s sp=%d obs=%v", lm.ID(), sp, obs))
+	l.events = append(l.events, fmt.Sprintf("@%d iter %s sp=%d obs=%v", l.clock, lm.ID(), sp, obs))
 }
 
 func (l *eventLog) ExitLoop(lm *analysis.LoopMeta) {
-	l.events = append(l.events, fmt.Sprintf("exit %s", lm.ID()))
+	l.events = append(l.events, fmt.Sprintf("@%d exit %s", l.clock, lm.ID()))
 }
 
-func (l *eventLog) Load(addr int64)  { l.events = append(l.events, fmt.Sprintf("load %d", addr)) }
-func (l *eventLog) Store(addr int64) { l.events = append(l.events, fmt.Sprintf("store %d", addr)) }
+func (l *eventLog) Load(addr int64) {
+	l.events = append(l.events, fmt.Sprintf("@%d load %d", l.clock, addr))
+}
 
-// TestChunkFanoutPreservesEventStream drives the chunk machinery directly:
-// every consumer must observe the exact event sequence the producer saw,
-// across multiple chunk publications and pool reuse, with scratch buffers
-// mutated after every event (the aliasing hazard the copy exists for).
+func (l *eventLog) Store(addr int64) {
+	l.events = append(l.events, fmt.Sprintf("@%d store %d", l.clock, addr))
+}
+
+// sameEvents fails the test unless got observed exactly want's events and
+// final clock.
+func sameEvents(t *testing.T, who string, got, want *eventLog) {
+	t.Helper()
+	if len(got.events) != len(want.events) {
+		t.Fatalf("%s: %d events, want %d", who, len(got.events), len(want.events))
+	}
+	for j := range want.events {
+		if got.events[j] != want.events[j] {
+			t.Fatalf("%s event %d:\n got %s\nwant %s", who, j, got.events[j], want.events[j])
+		}
+	}
+	if got.clock != want.clock {
+		t.Fatalf("%s: final clock %d, want %d", who, got.clock, want.clock)
+	}
+}
+
+// replaySealed expands a sealed chunk back into hook calls: each memory
+// span's records at their precomputed clock offsets followed by the rest
+// of its tick sum, and each loop event with its payload sub-slice.
+func replaySealed(h interp.Hooks, c *evChunk) {
+	for _, s := range c.spans {
+		switch s.kind {
+		case evMemSpan:
+			var at int64
+			for _, m := range c.mem[s.mstart:s.mend] {
+				h.Tick(m.tick - at)
+				at = m.tick
+				if m.kind == memLoad {
+					h.Load(m.addr)
+				} else {
+					h.Store(m.addr)
+				}
+			}
+			h.Tick(s.sum - at)
+		case evEnter:
+			r := &c.recs[s.rec]
+			h.EnterLoop(r.lm, r.a, c.vals[r.off:r.off+r.n])
+		case evIter:
+			r := &c.recs[s.rec]
+			h.IterLoop(r.lm, r.a, c.obs[r.off:r.off+r.n])
+		case evExit:
+			h.ExitLoop(c.recs[s.rec].lm)
+		}
+	}
+}
+
+// sealOne feeds the events emit produces through the fan-out producer and
+// returns the one sealed chunk they fill, failing if they overflow it.
+func sealOne(t *testing.T, emit func(h interp.Hooks)) *evChunk {
+	t.Helper()
+	var sealed []*evChunk
+	tee := newChunkTee(func(c *evChunk) *evChunk {
+		sealed = append(sealed, c)
+		return newChunk()
+	})
+	emit(tee)
+	tee.finish()
+	if len(sealed) != 1 {
+		t.Fatalf("events filled %d chunks, want 1", len(sealed))
+	}
+	return sealed[0]
+}
+
+// TestChunkFanoutPreservesEventStream drives the producer and the worker
+// pool directly: every worker must observe the exact event sequence the
+// producer saw, across many chunk publications and free-list reuse, with
+// scratch buffers mutated after every event (the aliasing hazard the
+// payload copy exists for).
 func TestChunkFanoutPreservesEventStream(t *testing.T) {
 	info, err := AnalyzeSource("chunks", doallSrc)
 	if err != nil {
@@ -220,9 +280,9 @@ func TestChunkFanoutPreservesEventStream(t *testing.T) {
 	emit := func(h interp.Hooks) {
 		scratchV := make([]interp.Val, 1)
 		scratchO := make([]interp.LCDObs, 2)
-		// 3 full chunks and a partial tail.
-		for i := 0; i < 3*chunkRecs+17; i++ {
-			switch i % 5 {
+		// Enough memory records for a dozen full chunks and a partial tail.
+		for i := 0; i < 20*chunkRecs+17; i++ {
+			switch i % 8 {
 			case 0:
 				h.Tick(int64(i))
 			case 1:
@@ -234,9 +294,9 @@ func TestChunkFanoutPreservesEventStream(t *testing.T) {
 				scratchO[1] = interp.LCDObs{Val: interp.Val{K: ir.KBool, I: int64(i % 2)}, DefTick: 7}
 				h.IterLoop(lm, int64(i), scratchO)
 				scratchO[0], scratchO[1] = interp.LCDObs{}, interp.LCDObs{} // stale scratch
-			case 3:
+			case 3, 5, 7:
 				h.Load(int64(i * 8))
-			case 4:
+			case 4, 6:
 				h.Store(int64(i * 8))
 			}
 		}
@@ -248,84 +308,77 @@ func TestChunkFanoutPreservesEventStream(t *testing.T) {
 
 	const consumers = 3
 	logs := make([]eventLog, consumers)
-	f := newChunkFanout(consumers)
-	done := make(chan struct{})
-	for i := 0; i < consumers; i++ {
-		go func(i int) {
-			defer func() { done <- struct{}{} }()
-			for c := range f.outs[i] {
-				replayChunk(&logs[i], c)
-				if c.refs.Add(-1) == 0 {
-					f.release(c)
-				}
+	publications, seen := 0, map[*evChunk]bool{}
+	replayers := make([]func(*evChunk), consumers)
+	for i := range replayers {
+		replayers[i] = func(c *evChunk) {
+			if i == 0 {
+				publications++
+				seen[c] = true
 			}
-		}(i)
+			replaySealed(&logs[i], c)
+		}
 	}
-	emit(f)
-	f.close()
-	for i := 0; i < consumers; i++ {
-		<-done
+	pool := startWorkers(replayers)
+	tee := newChunkTee(pool.publish)
+	emit(tee)
+	tee.finish()
+	if p := pool.close(); p != nil {
+		t.Fatalf("unexpected worker panic: %v", p)
 	}
 
+	// The pool never allocates more than fanoutChunks chunks, so a dozen
+	// publications must recycle them through the free list.
+	if publications < 12 || len(seen) > fanoutChunks {
+		t.Errorf("%d publications used %d distinct chunks, want >= 12 publications over <= %d chunks",
+			publications, len(seen), fanoutChunks)
+	}
 	for i := range logs {
-		if len(logs[i].events) != len(want.events) {
-			t.Fatalf("consumer %d: %d events, want %d", i, len(logs[i].events), len(want.events))
-		}
-		for j := range want.events {
-			if logs[i].events[j] != want.events[j] {
-				t.Fatalf("consumer %d event %d:\n got %s\nwant %s", i, j, logs[i].events[j], want.events[j])
-			}
-		}
-	}
-}
-
-// panicHook panics on the nth Tick it sees.
-type panicHook struct {
-	interp.NopHooks
-	ticks, fuse int
-}
-
-func (p *panicHook) Tick(int64) {
-	p.ticks++
-	if p.ticks == p.fuse {
-		panic("consumer bug")
+		sameEvents(t, fmt.Sprintf("worker %d", i), &logs[i], &want)
 	}
 }
 
 // TestConsumerPanicRecovery: a panic inside one pool worker must surface
-// as a classified *PanicError, workers in other groups must still see the
+// as a classified *PanicError, workers of other groups must still see the
 // full stream, and the producer must never deadlock (the sick worker keeps
-// draining its channel). Exercised at both pool shapes: one consumer per
-// worker (the classic concurrent fan-out) and multiple consumers sharing
-// the sick worker's group.
+// draining its channel). Exercised at both group shapes: one replayer per
+// worker, and a sick worker whose group replays another consumer too.
 func TestConsumerPanicRecovery(t *testing.T) {
-	for name, groups := range map[string]func(bad interp.Hooks, healthy *eventLog) [][]interp.Hooks{
-		"one-per-worker": func(bad interp.Hooks, healthy *eventLog) [][]interp.Hooks {
-			return [][]interp.Hooks{{bad}, {healthy}}
+	for name, groups := range map[string]func(bad func(*evChunk), healthy *eventLog) []func(*evChunk){
+		"one-per-worker": func(bad func(*evChunk), healthy *eventLog) []func(*evChunk) {
+			return []func(*evChunk){bad, func(c *evChunk) { replaySealed(healthy, c) }}
 		},
-		"shared-group": func(bad interp.Hooks, healthy *eventLog) [][]interp.Hooks {
-			// The sick worker owns another consumer too; only the healthy
-			// worker's group is guaranteed the full stream.
-			return [][]interp.Hooks{{bad, &eventLog{}}, {healthy}}
+		"shared-group": func(bad func(*evChunk), healthy *eventLog) []func(*evChunk) {
+			// Only the healthy worker's group is guaranteed the full stream.
+			var sibling eventLog
+			return []func(*evChunk){
+				func(c *evChunk) { bad(c); replaySealed(&sibling, c) },
+				func(c *evChunk) { replaySealed(healthy, c) },
+			}
 		},
 	} {
 		t.Run(name, func(t *testing.T) {
 			var healthy eventLog
-			bad := &panicHook{fuse: 2}
-			g := groups(bad, &healthy)
-			f := newChunkFanout(len(g))
-			wait := startWorkers(f, g, false)
-
-			// Far more events than the channel depth holds: without
-			// draining, the producer would block on the dead worker's
-			// channel.
-			total := (fanoutPoolSize + fanoutChanDepth + 4) * chunkRecs
-			for i := 0; i < total; i++ {
-				f.Tick(1)
+			chunks := 0
+			bad := func(*evChunk) {
+				if chunks++; chunks == 2 {
+					panic("consumer bug")
+				}
 			}
-			f.close()
+			pool := startWorkers(groups(bad, &healthy))
+			tee := newChunkTee(pool.publish)
 
-			p := wait()
+			// Far more chunks than the pool holds: without draining, the
+			// producer would block forever waiting for the dead worker to
+			// release one.
+			total := (fanoutChunks + 8) * chunkRecs
+			for i := 0; i < total; i++ {
+				tee.Tick(1)
+				tee.Load(int64(i))
+			}
+			tee.finish()
+
+			p := pool.close()
 			if p == nil || p.Val != "consumer bug" {
 				t.Fatalf("panic = %+v, want recovered consumer bug", p)
 			}
@@ -333,8 +386,9 @@ func TestConsumerPanicRecovery(t *testing.T) {
 			if !errors.As(error(p), &pe) {
 				t.Fatalf("worker panic %T does not unwrap as *PanicError", p)
 			}
-			if len(healthy.events) != total {
-				t.Errorf("healthy worker saw %d events, want %d", len(healthy.events), total)
+			if len(healthy.events) != total || healthy.clock != int64(total) {
+				t.Errorf("healthy worker saw %d events at clock %d, want %d at %d",
+					len(healthy.events), healthy.clock, total, total)
 			}
 		})
 	}
@@ -364,79 +418,94 @@ func TestRunTraceMatchesUntraced(t *testing.T) {
 	}
 }
 
-// retainingChunkHook violates the replayChunk consumer contract on
-// purpose: it keeps the payload sub-slices instead of copying the
-// elements.
-type retainingChunkHook struct {
-	interp.NopHooks
-	retainedObs  [][]interp.LCDObs
-	retainedVals [][]interp.Val
-}
-
-func (h *retainingChunkHook) IterLoop(lm *analysis.LoopMeta, sp int64, obs []interp.LCDObs) {
-	h.retainedObs = append(h.retainedObs, obs)
-}
-
-func (h *retainingChunkHook) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
-	h.retainedVals = append(h.retainedVals, init)
-}
-
 // TestReplayChunkPayloadAliasing is interp's TestHooksScratchBufferOwnership
-// transplanted to the batched path: the vals/obs sub-slices replayChunk
-// hands to consumers alias the chunk's flat payload arrays, and chunks are
-// recycled through the fan-out pool — so a consumer that retains them MUST
-// observably read the next filling's data through the stale headers. If
-// this test fails, chunk replay started copying per event and the
-// zero-allocation contract of the chunked strategies is gone.
+// transplanted to the batched path. replayChunkBatched hands engines
+// sub-slices of the chunk's flat payload arrays — no per-event copy, so a
+// warm replay allocates nothing — and the producer refills a reused chunk
+// in place, so a retained sub-slice observably reads the next filling.
+// Engines must therefore never retain payloads: an engine's report must not
+// move when the chunk it replayed is refilled. If the allocation check
+// fails, chunk replay started copying per event and the zero-allocation
+// contract of the fan-out is gone.
 func TestReplayChunkPayloadAliasing(t *testing.T) {
-	info, err := AnalyzeSource("alias", doallSrc)
+	info, err := AnalyzeSource("alias", predictableSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lm := info.Loops[0]
-
-	// Payload arrays at full capacity up front, as after one pool cycle in
-	// production: refills append into the same backing.
-	c := &evChunk{
-		recs: make([]evRec, 0, chunkRecs),
-		vals: make([]interp.Val, 0, chunkRecs),
-		obs:  make([]interp.LCDObs, 0, chunkRecs),
-	}
-	w := chunkWriter{cur: c, onFull: func() {}}
-	const events = 4
-	fill := func(base int64) {
-		scratchV := make([]interp.Val, 1)
-		scratchO := make([]interp.LCDObs, 1)
-		for i := int64(0); i < events; i++ {
-			scratchV[0] = interp.Val{K: ir.KInt, I: base + i}
-			w.EnterLoop(lm, 0, scratchV)
-			scratchO[0] = interp.LCDObs{DefTick: base + i}
-			w.IterLoop(lm, 0, scratchO)
+	run := func(h interp.Hooks) {
+		if err := interpret(info, RunOptions{}, h); err != nil {
+			t.Fatal(err)
 		}
 	}
-	fill(100)
-
-	h := &retainingChunkHook{}
-	replayChunk(h, c)
-	if len(h.retainedObs) != events || len(h.retainedVals) != events {
-		t.Fatalf("saw %d/%d iter/enter events, want %d each", len(h.retainedObs), len(h.retainedVals), events)
+	c := sealOne(t, run)
+	if len(c.vals) == 0 || len(c.obs) == 0 {
+		t.Fatalf("program produced %d init values and %d observations, want both", len(c.vals), len(c.obs))
 	}
-	for i := range h.retainedObs {
-		if &h.retainedObs[i][0] != &c.obs[i] || &h.retainedVals[i][0] != &c.vals[i] {
-			t.Fatalf("event %d payload does not alias the chunk arrays: replayChunk started copying", i)
-		}
+	cfg := BestPDOALL() // dep2: init values and observations both live
+	e := NewEngine(info, cfg)
+	e.replayChunkBatched(c)
+	before := e.Report("alias")
+	if want, err := Run(info, cfg, RunOptions{}); err != nil {
+		t.Fatal(err)
+	} else if err := CompareReports(want, before); err != nil {
+		t.Fatalf("batched replay diverges from Run: %v", err)
 	}
 
-	// Pool recycling: the chunk resets and refills with new payloads. Every
-	// retained sub-slice must now read the second filling's values.
+	warm := NewEngine(info, cfg)
+	warm.replayChunkBatched(c)
+	if allocs := testing.AllocsPerRun(5, func() { warm.replayChunkBatched(c) }); allocs != 0 {
+		t.Errorf("warm replayChunkBatched allocates %.1f times per chunk, want 0", allocs)
+	}
+
+	// Refill the chunk in place, as the inline path and the free list do.
+	staleVals, staleObs := c.vals[:1], c.obs[:1]
 	c.reset()
-	fill(900)
-	for i := range h.retainedObs {
-		if got := h.retainedObs[i][0].DefTick; got != 900+int64(i) {
-			t.Errorf("retained obs[%d].DefTick = %d, want %d (chunk reuse must show through the alias)", i, got, 900+i)
+	tee := newChunkTee(func(c *evChunk) *evChunk { return c })
+	tee.cur = c
+	lm := info.Loops[0]
+	tee.EnterLoop(lm, 0, []interp.Val{{K: ir.KInt, I: 900}})
+	tee.IterLoop(lm, 0, []interp.LCDObs{{DefTick: 901}})
+	if staleVals[0].I != 900 || staleObs[0].DefTick != 901 {
+		t.Errorf("retained payload reads (%d, %d), want the refill's (900, 901): chunk reuse must show through the alias",
+			staleVals[0].I, staleObs[0].DefTick)
+	}
+	if err := CompareReports(before, e.Report("alias")); err != nil {
+		t.Errorf("refilling a replayed chunk changed the engine's report: %v", err)
+	}
+}
+
+// panicWriter is a trace sink that panics on its first write.
+type panicWriter struct{}
+
+func (panicWriter) Write([]byte) (int, error) { panic("sink bug") }
+
+// TestMultiRunProducerPanic: a panic on the producing goroutine — here in
+// the trace sink, mid-run, once the trace outgrows the writer's buffer —
+// surfaces as a typed *PanicError at every width, and a pooled run's
+// workers exit instead of leaking.
+func TestMultiRunProducerPanic(t *testing.T) {
+	info, err := AnalyzeSource("sinkpanic", `
+func main() int {
+	var a [64]int;
+	var s int = 0;
+	for (var i int = 0; i < 20000; i = i + 1) { a[i % 64] = i; s = s + a[(i + 1) % 64]; }
+	return s;
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := runtime.NumGoroutine()
+	for width, p := range multiWidths {
+		_, err := MultiRun(info, PaperConfigs(), RunOptions{Trace: panicWriter{}, Parallelism: p})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Val != "sink bug" {
+			t.Errorf("%s: err = %v, want the sink's *PanicError", width, err)
 		}
-		if got := h.retainedVals[i][0].I; got != 900+int64(i) {
-			t.Errorf("retained init[%d].I = %d, want %d (chunk reuse must show through the alias)", i, got, 900+i)
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the runs, %d before: pool workers leaked", runtime.NumGoroutine(), before)
 		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -1,13 +1,14 @@
 package core
 
-// Tests for the class-affinity worker pool and the explicit strategy
-// knobs: plan resolution, bit-identical determinism across worker counts
-// and shuffled chunk-arrival timing, concurrent read-only sharing of one
+// Tests for the class-affinity worker pool: worker-count resolution,
+// bit-identical determinism across worker counts and shuffled
+// chunk-arrival timing, concurrent read-only sharing of one
 // chunk's span summaries (the -race gate of the precomputation pass), and
 // the memRun summary contract.
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -17,86 +18,44 @@ import (
 	"loopapalooza/internal/interp"
 )
 
-// TestPlanFanout pins the resolved strategy decision: the auto crossover,
-// the explicit overrides, and the Parallelism knob.
-func TestPlanFanout(t *testing.T) {
+// TestFanoutWorkers pins MultiRun's worker-count resolution: the auto
+// width, the clamp to the coalesced class count, and the single worker
+// below FanoutThreshold configurations.
+func TestFanoutWorkers(t *testing.T) {
 	ncpu := runtime.GOMAXPROCS(0)
+	if got := ResolveParallelism(0); got != ncpu {
+		t.Errorf("ResolveParallelism(0) = %d, want GOMAXPROCS %d", got, ncpu)
+	}
+	if got := ResolveParallelism(3); got != 3 {
+		t.Errorf("ResolveParallelism(3) = %d, want 3", got)
+	}
 	cases := []struct {
-		name  string
-		nCfgs int
-		opts  RunOptions
-		want  FanoutPlan
+		name                      string
+		nCfgs, nClasses, parallel int
+		want                      int
 	}{
-		{"auto-small", 2, RunOptions{}, FanoutPlan{StrategySequential, 1}},
-		{"auto-p1", 14, RunOptions{Parallelism: 1}, FanoutPlan{StrategyChunked, 1}},
-		{"auto-p4", 14, RunOptions{Parallelism: 4}, FanoutPlan{StrategyParallel, 4}},
-		{"auto-p0", 14, RunOptions{}, func() FanoutPlan {
-			if ncpu == 1 {
-				return FanoutPlan{StrategyChunked, 1}
-			}
-			return FanoutPlan{StrategyParallel, ncpu}
-		}()},
-		{"auto-p1-nobatch", 14, RunOptions{Parallelism: 1, DisableBatch: true},
-			FanoutPlan{StrategyParallel, 1}},
-		{"force-sequential", 14, RunOptions{Strategy: StrategySequential, Parallelism: 8},
-			FanoutPlan{StrategySequential, 1}},
-		{"force-chunked", 14, RunOptions{Strategy: StrategyChunked},
-			FanoutPlan{StrategyChunked, 1}},
-		{"force-parallel-small", 2, RunOptions{Strategy: StrategyParallel, Parallelism: 3},
-			FanoutPlan{StrategyParallel, 3}},
+		{"below-threshold", FanoutThreshold - 1, 3, 8, 1},
+		{"pinned-serial", 14, 10, 1, 1},
+		{"pinned-width", 14, 10, 4, 4},
+		{"clamped-to-classes", 14, 3, 64, 3},
+		{"auto", 14, 64, 0, ncpu},
+		{"no-engines", FanoutThreshold, 0, 4, 1},
 	}
 	for _, c := range cases {
-		if got := PlanFanout(c.nCfgs, c.opts); got != c.want {
-			t.Errorf("%s: PlanFanout(%d, %+v) = %v, want %v", c.name, c.nCfgs, c.opts, got, c.want)
-		}
-	}
-	for _, s := range []FanoutStrategy{StrategyAuto, StrategySequential, StrategyChunked, StrategyParallel} {
-		back, err := ParseFanoutStrategy(s.String())
-		if err != nil || back != s {
-			t.Errorf("ParseFanoutStrategy(%q) = (%v, %v), want (%v, nil)", s, back, err, s)
-		}
-	}
-	if _, err := ParseFanoutStrategy("bogus"); err == nil {
-		t.Error("ParseFanoutStrategy accepted a bogus strategy")
-	}
-	if got := (FanoutPlan{StrategyParallel, 4}).String(); got != "parallel(p=4)" {
-		t.Errorf("plan string = %q, want parallel(p=4)", got)
-	}
-}
-
-// TestMultiRunStrategyOverride: forcing each strategy through
-// RunOptions.Strategy routes MultiRun itself (not just the exported
-// entry points) and stays bit-identical.
-func TestMultiRunStrategyOverride(t *testing.T) {
-	info, err := AnalyzeSource("override", infrequentSrc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := PaperConfigs()
-	want, err := MultiRunSequential(info, cfgs, RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range []FanoutStrategy{StrategySequential, StrategyChunked, StrategyParallel} {
-		got, err := MultiRun(info, cfgs, RunOptions{Strategy: s, Parallelism: 2})
-		if err != nil {
-			t.Fatalf("%v: %v", s, err)
-		}
-		for i := range cfgs {
-			if err := CompareReports(want[i], got[i]); err != nil {
-				t.Errorf("%v/%s: %v", s, cfgs[i], err)
-			}
+		if got := fanoutWorkers(c.nCfgs, c.nClasses, c.parallel); got != c.want {
+			t.Errorf("%s: fanoutWorkers(%d, %d, %d) = %d, want %d",
+				c.name, c.nCfgs, c.nClasses, c.parallel, got, c.want)
 		}
 	}
 }
 
 // TestParallelDeterminism is the pool's determinism gate: reports AND
 // recorded binary traces must be bit-identical across Parallelism ∈
-// {1, 2, NumCPU} and across repeated runs (repeats reshuffle goroutine
+// {1, 2, NumCPU, 64} and across repeated runs (repeats reshuffle goroutine
 // scheduling, i.e. the relative timing with which workers pick chunks up).
 func TestParallelDeterminism(t *testing.T) {
 	cfgs := PaperConfigs()
-	widths := []int{1, 2, runtime.NumCPU()}
+	widths := []int{1, 2, runtime.NumCPU(), 64}
 	for name, src := range map[string]string{
 		"infrequent": infrequentSrc,
 		"stack":      stackSrc,
@@ -120,7 +79,7 @@ func TestParallelDeterminism(t *testing.T) {
 		for _, p := range widths {
 			for rep := 0; rep < 3; rep++ {
 				var trace bytes.Buffer
-				got, err := MultiRunParallel(info, cfgs, RunOptions{Parallelism: p, Trace: &trace})
+				got, err := MultiRun(info, cfgs, RunOptions{Parallelism: p, Trace: &trace})
 				if err != nil {
 					t.Fatalf("%s p=%d rep=%d: %v", name, p, rep, err)
 				}
@@ -163,7 +122,7 @@ func TestWorkerPoolShuffledArrival(t *testing.T) {
 	}
 	lm := info.Loops[0]
 	emit := func(h interp.Hooks) {
-		for i := 0; i < 2*chunkRecs+257; i++ {
+		for i := 0; i < 6*chunkRecs+257; i++ {
 			switch i % 4 {
 			case 0:
 				h.Tick(int64(i))
@@ -189,23 +148,27 @@ func TestWorkerPoolShuffledArrival(t *testing.T) {
 	}
 	// 2 workers over 5 consumers: groups of 3 and 2, shuffling both the
 	// inter-worker timing and the intra-group replay interleaving.
-	groups := affinityGroups([]interp.Hooks{logs[0], logs[1], logs[2], logs[3], logs[4]}, 2)
-	f := newChunkFanout(len(groups))
-	wait := startWorkers(f, groups, false)
-	emit(f)
-	f.close()
-	if p := wait(); p != nil {
+	groups := affinityGroups(logs, 2)
+	if len(groups[0]) != 3 || len(groups[1]) != 2 {
+		t.Fatalf("group sizes %d+%d, want 3+2", len(groups[0]), len(groups[1]))
+	}
+	replayers := make([]func(*evChunk), len(groups))
+	for i, g := range groups {
+		replayers[i] = func(c *evChunk) {
+			for _, l := range g {
+				replaySealed(l, c)
+			}
+		}
+	}
+	pool := startWorkers(replayers)
+	tee := newChunkTee(pool.publish)
+	emit(tee)
+	tee.finish()
+	if p := pool.close(); p != nil {
 		t.Fatalf("unexpected worker panic: %v", p)
 	}
 	for i, l := range logs {
-		if len(l.events) != len(want.events) {
-			t.Fatalf("consumer %d: %d events, want %d", i, len(l.events), len(want.events))
-		}
-		for j := range want.events {
-			if l.events[j] != want.events[j] {
-				t.Fatalf("consumer %d event %d: got %s, want %s", i, j, l.events[j], want.events[j])
-			}
-		}
+		sameEvents(t, fmt.Sprintf("consumer %d", i), &l.eventLog, &want)
 	}
 }
 
@@ -226,27 +189,26 @@ func TestSpanSummarySharedRace(t *testing.T) {
 	// A chunk with dense load/store spans across regions, including
 	// stack addresses under the cactus filter and pure-store and
 	// pure-load stretches the summary fast paths trigger on.
-	c := &evChunk{recs: make([]evRec, 0, chunkRecs)}
-	w := chunkWriter{cur: c, onFull: func() {}}
-	w.EnterLoop(lm, int64(interp.StackTop)-64, nil)
-	for iter := 0; iter < 24; iter++ {
-		w.IterLoop(lm, int64(interp.StackTop)-64, nil)
-		base := int64(interp.HeapBase) + int64(iter%3)*512
-		for j := int64(0); j < 40; j++ {
-			w.Tick(1)
-			w.Store(base + j)
+	c := sealOne(t, func(w interp.Hooks) {
+		w.EnterLoop(lm, int64(interp.StackTop)-64, nil)
+		for iter := 0; iter < 10; iter++ {
+			w.IterLoop(lm, int64(interp.StackTop)-64, nil)
+			base := int64(interp.HeapBase) + int64(iter%3)*512
+			for j := int64(0); j < 40; j++ {
+				w.Tick(1)
+				w.Store(base + j)
+			}
+			for j := int64(0); j < 40; j++ {
+				w.Tick(1)
+				w.Load(base + 4096 + j) // disjoint: the skip path
+			}
+			for j := int64(0); j < 8; j++ {
+				w.Tick(1)
+				w.Load(base + j) // overlapping: the probe path
+			}
 		}
-		for j := int64(0); j < 40; j++ {
-			w.Tick(1)
-			w.Load(base + 4096 + j) // disjoint: the skip path
-		}
-		for j := int64(0); j < 8; j++ {
-			w.Tick(1)
-			w.Load(base + j) // overlapping: the probe path
-		}
-	}
-	w.ExitLoop(lm)
-	c.seal()
+		w.ExitLoop(lm)
+	})
 
 	cfgs := PaperConfigs()
 	serial := make([]*Engine, len(cfgs))

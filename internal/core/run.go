@@ -44,21 +44,12 @@ type RunOptions struct {
 	// fails the run; the resource budgets above are enforced while
 	// recording.
 	Trace io.Writer
-	// DisableBatch forces MultiRun and trace replay onto the per-event
-	// hook dispatch instead of the batched chunk-replay tracker path —
-	// the profiling and differential toggle behind the `-batch=false`
-	// flags. Reports are bit-identical either way.
-	DisableBatch bool
-	// Strategy selects the MultiRun fan-out strategy. The zero value is
-	// auto: sequential below FanoutThreshold configurations, the chunked
-	// tee with a single worker, the class-affinity parallel pool
-	// otherwise. See PlanFanout for the resolved decision.
-	Strategy FanoutStrategy
-	// Parallelism bounds the parallel fan-out's worker pool: 0 (auto)
-	// means one worker per available CPU (GOMAXPROCS), 1 pins the run to
-	// a single worker, larger values are clamped to the number of
-	// coalesced engine classes. Reports and recorded traces are
-	// bit-identical at every value.
+	// Parallelism is MultiRun's fan-out width: 0 (auto) means one worker
+	// per available CPU (GOMAXPROCS), 1 replays every engine on the
+	// interpreting goroutine, larger values are clamped to the number of
+	// coalesced engine classes, and sets below FanoutThreshold
+	// configurations always use one worker. Reports and recorded traces
+	// are bit-identical at every value.
 	Parallelism int
 }
 

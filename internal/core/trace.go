@@ -422,8 +422,8 @@ func ReplayTrace(name string, info *analysis.ModuleInfo, cfg Config, opts RunOpt
 
 // ReplayTraceMulti decodes a trace once and evaluates every configuration
 // against it — the replay-side equivalent of MultiRun. Decoded events
-// buffer into chunks and replay through the batched tracker path unless
-// opts.DisableBatch forces the per-event sequential tee.
+// feed the same sealed-chunk producer, and every chunk replays inline
+// through the batched tracker path: replay always runs one worker.
 func ReplayTraceMulti(name string, info *analysis.ModuleInfo, cfgs []Config, opts RunOptions, r io.Reader) (reps []*Report, err error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -439,20 +439,10 @@ func ReplayTraceMulti(name string, info *analysis.ModuleInfo, cfgs []Config, opt
 	if err != nil {
 		return nil, err
 	}
-	if opts.DisableBatch {
-		hooks := make([]interp.Hooks, len(set.engines))
-		for i, e := range set.engines {
-			hooks[i] = e
-		}
-		if err := tr.Replay(&multiHooks{hs: hooks}); err != nil {
-			return nil, err
-		}
-		return set.reports(cfgs, name), nil
-	}
-	tee := newChunkTee(set.engines)
+	tee := inlineTee(set.engines)
 	if err := tr.Replay(tee); err != nil {
 		return nil, err
 	}
-	tee.flush() // drain the partial tail chunk
+	tee.finish()
 	return set.reports(cfgs, name), nil
 }

@@ -66,11 +66,11 @@ type LCDObs struct {
 // hook that retains one observes stale data at the very next loop event —
 // interp's ownership-violation test demonstrates exactly that. Consume the
 // slices synchronously, or copy their elements before returning. The
-// canonical copiers are core's concurrent fan-out tee (which copies each
-// event once into pooled chunks so engine goroutines can alias safely) and
-// core.TraceWriter (which copies by encoding); everything else, including
-// core.Engine and the sequential fan-out tee, consumes in place without
-// copying.
+// canonical copiers are core's fan-out producer (which copies each event's
+// payload once into a sealed chunk, so engines — inline or on pool
+// workers — can alias it safely) and core.TraceWriter (which copies by
+// encoding); everything else, including core.Engine on the per-config Run
+// path, consumes in place without copying.
 type Hooks interface {
 	// Tick advances the dynamic IR instruction counter by n. Ticks are
 	// batched: the interpreter may deliver several instructions' worth in

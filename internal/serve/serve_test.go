@@ -14,6 +14,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -415,7 +416,7 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	body, _ := io.ReadAll(resp.Body)
 	text := string(body)
-	fanout := core.PlanFanout(len(core.PaperConfigs()), core.RunOptions{}).String()
+	fanout := fmt.Sprintf("p=%d", runtime.GOMAXPROCS(0))
 	for _, want := range []string{
 		`lpd_requests_total{path="/v1/analyze",code="200"} 2`,
 		"lpd_cache_hits_total 1",
@@ -470,8 +471,8 @@ func TestEngineOption(t *testing.T) {
 }
 
 // TestParallelismOption: a server pinned to a serial fan-out pool serves
-// reports bit-identical to the default width and advertises the resolved
-// plan on /metrics.
+// reports bit-identical to the default width and advertises its worker
+// count on /metrics.
 func TestParallelismOption(t *testing.T) {
 	_, tsD := newTestServer(t, Options{})
 	_, tsS := newTestServer(t, Options{Parallelism: 1})
@@ -506,8 +507,7 @@ func TestParallelismOption(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	body, _ := io.ReadAll(resp.Body)
-	fanout := core.PlanFanout(len(core.PaperConfigs()), core.RunOptions{Parallelism: 1}).String()
-	if want := fmt.Sprintf(`lpd_engine_info{engine="bytecode",fanout=%q} 1`, fanout); !strings.Contains(string(body), want) {
+	if want := `lpd_engine_info{engine="bytecode",fanout="p=1"} 1`; !strings.Contains(string(body), want) {
 		t.Errorf("metrics missing %q", want)
 	}
 }

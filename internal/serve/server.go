@@ -33,6 +33,7 @@ import (
 	"loopapalooza/internal/cluster"
 	"loopapalooza/internal/core"
 	"loopapalooza/internal/diag"
+	"loopapalooza/internal/metrics"
 )
 
 // Budgets are the per-request resource limits, JSON-addressable so clients
@@ -83,8 +84,8 @@ type Options struct {
 	Engine core.EngineKind
 	// Parallelism bounds the fan-out worker pool of every sweep this
 	// server performs (0 = one worker per CPU, 1 = serial). Reports are
-	// bit-identical at every width. The resolved paper-grid fan-out plan
-	// is exposed as the lpd_engine_info "fanout" label.
+	// bit-identical at every width. The resolved worker count is exposed
+	// as the lpd_engine_info "fanout" label.
 	Parallelism int
 	// Harness is the sweep substrate; nil creates one wired to the
 	// server's default budgets and limiter width.
@@ -116,7 +117,7 @@ type Server struct {
 	harness *bench.Harness
 	log     *slog.Logger
 	mux     *http.ServeMux
-	reg     *Registry
+	reg     *metrics.Registry
 	start   time.Time
 
 	baseCtx  context.Context // outlives requests; canceled by Close
@@ -128,11 +129,11 @@ type Server struct {
 	readyChecks []ReadyCheck
 
 	// Metrics.
-	mRequests   *Counter
-	mLatency    *Histogram
-	mOutcomes   *Counter
-	mTicks      *Counter
-	mSweepCells *Counter
+	mRequests   *metrics.Counter
+	mLatency    *metrics.Histogram
+	mOutcomes   *metrics.Counter
+	mTicks      *metrics.Counter
+	mSweepCells *metrics.Counter
 }
 
 // New builds a Server from opts.
@@ -191,7 +192,7 @@ func New(opts Options) (*Server, error) {
 		harness: harness,
 		log:     log,
 		mux:     http.NewServeMux(),
-		reg:     NewRegistry(),
+		reg:     metrics.NewRegistry(),
 		start:   time.Now(),
 		baseCtx: ctx,
 		cancel:  cancel,
@@ -216,7 +217,7 @@ func (s *Server) registerMetrics() {
 	s.mRequests = s.reg.NewCounter("lpd_requests_total",
 		"HTTP requests by path and status code.", "path", "code")
 	s.mLatency = s.reg.NewHistogram("lpd_request_seconds",
-		"Request latency in seconds by path.", nil, "path")
+		"Request latency in seconds by path.", metrics.DefaultLatencyBuckets, "path")
 	s.mOutcomes = s.reg.NewCounter("lpd_analyze_outcomes_total",
 		"Analyze results by taxonomy outcome.", "outcome")
 	s.mTicks = s.reg.NewCounter("lpd_ticks_simulated_total",
@@ -224,10 +225,9 @@ func (s *Server) registerMetrics() {
 	s.mSweepCells = s.reg.NewCounter("lpd_sweep_cells_total",
 		"Sweep cells by taxonomy outcome.", "outcome")
 	s.reg.NewGauge("lpd_engine_info",
-		"Execution engine and resolved paper-grid fan-out plan of this server (value is always 1).",
+		"Execution engine and resolved fan-out worker count of this server (value is always 1).",
 		"engine", "fanout").
-		Set(1, s.opts.Engine.String(),
-			core.PlanFanout(len(core.PaperConfigs()), core.RunOptions{Parallelism: s.opts.Parallelism}).String())
+		Set(1, s.opts.Engine.String(), fmt.Sprintf("p=%d", core.ResolveParallelism(s.opts.Parallelism)))
 	s.reg.NewCounterFunc("lpd_cache_hits_total",
 		"Analyze requests served from a stored cache entry.",
 		func() float64 { return float64(s.cache.Stats().Hits) })
