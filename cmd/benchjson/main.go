@@ -1,7 +1,8 @@
 // Command benchjson converts `go test -bench` output into a
-// machine-readable JSON summary (BENCH_PR12.json). It parses every
+// machine-readable JSON summary (BENCH_PR13.json). It parses every
 // benchmark line, keeps all reported metrics (ns/op, B/op, allocs/op,
-// and custom metrics like instrs/sec), and derives these ratio tables:
+// and custom metrics like instrs/sec or trace-bytes), records the
+// measuring box's CPU count, and derives these ratio tables:
 //
 //   - shadow_vs_legacy: for each benchmark with /shadow and /legacy-map
 //     sub-benchmarks, the legacy÷shadow time ratio and the per-op bytes
@@ -39,14 +40,16 @@
 // Deterministic work-census metrics (instruction counts, opcode mix) are
 // exact at any iteration count and always gated, so the 1x CI smoke still
 // catches the compiler or interpreter silently emitting more work while a
-// full `make bench` run gates costs too.
+// full `make bench` run gates costs too. The trace-bytes census (the
+// encoded size of every kernel's event trace) is gated with no tolerance:
+// only a trace format change moves it, so any growth fails.
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_PR12.json
-//	go run ./cmd/benchjson -o BENCH_PR12.json bench.out
-//	go test -bench=. -benchtime=1x -benchmem ./... | go run ./cmd/benchjson -compare BENCH_PR12.json
-//	go run ./cmd/benchjson -compare BENCH_PR10.json BENCH_PR12.json
+//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_PR13.json
+//	go run ./cmd/benchjson -o BENCH_PR13.json bench.out
+//	go test -bench=. -benchtime=1x -benchmem ./... | go run ./cmd/benchjson -compare BENCH_PR13.json
+//	go run ./cmd/benchjson -compare BENCH_PR12.json BENCH_PR13.json
 package main
 
 import (
@@ -58,6 +61,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -131,8 +135,13 @@ var extraCurrent = map[string]map[string]float64{
 }
 
 type output struct {
-	Schema             string                      `json:"schema"`
-	Note               string                      `json:"note"`
+	Schema string `json:"schema"`
+	Note   string `json:"note"`
+	// NumCPU is the CPU count of the box that ran the benchmarks: taken
+	// from this process when converting `go test` output, carried over
+	// when converting a BENCH_*.json (absent from files before
+	// BENCH_PR13.json).
+	NumCPU             int                         `json:"numCPU,omitempty"`
 	Benchmarks         []Benchmark                 `json:"benchmarks"`
 	ShadowVsLegacy     map[string]map[string]Ratio `json:"shadow_vs_legacy"`
 	BytecodeVsTreewalk map[string]map[string]Ratio `json:"bytecode_vs_treewalk"`
@@ -216,6 +225,7 @@ func ratios(base, cur map[string]float64) map[string]Ratio {
 // baselineDoc is the subset of a previous BENCH_*.json the regression
 // gate needs.
 type baselineDoc struct {
+	NumCPU     int         `json:"numCPU"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
@@ -243,9 +253,14 @@ func gatedUnit(unit string, baseIters, curIters int64) bool {
 	return !strings.HasSuffix(unit, "/sec")
 }
 
+// exactUnits are the censuses gated with no tolerance (see the package
+// comment).
+var exactUnits = map[string]bool{"trace-bytes": true}
+
 // compare checks the current results against a previous run's benchmarks,
 // returning one line per gated series that regressed past tolerance
-// percent. All gated series are per-op costs, so higher is worse.
+// percent (past 0 for exactUnits). All gated series are per-op costs, so
+// higher is worse.
 func compare(base, cur []Benchmark, tolerance float64) (regressions, notes []string) {
 	curBy := make(map[string]Benchmark, len(cur))
 	for _, b := range cur {
@@ -263,9 +278,13 @@ func compare(base, cur []Benchmark, tolerance float64) (regressions, notes []str
 			if !ok || ov <= 0 || !gatedUnit(unit, ob.Iterations, cb.Iterations) {
 				continue
 			}
-			if worse := (cv - ov) / ov * 100; worse > tolerance {
-				regressions = append(regressions, fmt.Sprintf("%s %s: %.4g -> %.4g (+%.1f%%, tolerance %.0f%%)",
-					ob.Name, unit, ov, cv, worse, tolerance))
+			tol := tolerance
+			if exactUnits[unit] {
+				tol = 0
+			}
+			if worse := (cv - ov) / ov * 100; worse > tol {
+				regressions = append(regressions, fmt.Sprintf("%s %s: %.10g -> %.10g (+%.1f%%, tolerance %.0f%%)",
+					ob.Name, unit, ov, cv, worse, tol))
 			}
 		}
 	}
@@ -301,6 +320,7 @@ func run() error {
 		return err
 	}
 	var benches []Benchmark
+	numCPU := runtime.NumCPU()
 	fromJSON := bytes.HasPrefix(bytes.TrimSpace(raw), []byte("{"))
 	if fromJSON {
 		// A previous benchjson output already carries its macro rows.
@@ -308,7 +328,7 @@ func run() error {
 		if err := json.Unmarshal(raw, &doc); err != nil {
 			return fmt.Errorf("parsing input: %v", err)
 		}
-		benches = doc.Benchmarks
+		benches, numCPU = doc.Benchmarks, doc.NumCPU
 	} else if benches, err = parse(bytes.NewReader(raw)); err != nil {
 		return err
 	}
@@ -399,6 +419,7 @@ func run() error {
 			"parallel_vs_serial compares Parallelism=NumCPU against Parallelism=1 " +
 			"(inline replay on the interpreting goroutine); its ratio depends on the " +
 			"measuring box's core count.",
+		NumCPU:             numCPU,
 		Benchmarks:         benches,
 		ShadowVsLegacy:     shadowVsLegacy,
 		BytecodeVsTreewalk: bytecodeVsTreewalk,

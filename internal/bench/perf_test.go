@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"testing"
 
+	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/core"
 )
 
@@ -110,4 +112,42 @@ func BenchmarkSweepParallel(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkTraceReplay measures trace replay, the path of lpd's trace
+// tier and lpbench -trace-dir: set-up records the event trace of every
+// registered kernel once, and each op replays all of them under the
+// fourteen paper configurations through core.ReplayTraceMulti — decoder
+// and engines, no interpretation. The trace-bytes metric is the traces'
+// total encoded size, a deterministic census that benchjson -compare
+// gates at every iteration count, so the format size is pinned by
+// benchsmoke.
+func BenchmarkTraceReplay(b *testing.B) {
+	benches := All()
+	cfgs := core.PaperConfigs()
+	infos := make([]*analysis.ModuleInfo, len(benches))
+	traces := make([][]byte, len(benches))
+	var total int
+	for i, bm := range benches {
+		info, err := bm.Analyze()
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := core.MultiRun(info, cfgs, core.RunOptions{Trace: &buf}); err != nil {
+			b.Fatalf("recording %s: %v", bm.Name, err)
+		}
+		infos[i], traces[i] = info, buf.Bytes()
+		total += buf.Len()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, bm := range benches {
+			if _, err := core.ReplayTraceMulti(bm.Name, infos[j], cfgs, core.RunOptions{}, bytes.NewReader(traces[j])); err != nil {
+				b.Fatalf("replaying %s: %v", bm.Name, err)
+			}
+		}
+	}
+	b.ReportMetric(float64(total), "trace-bytes")
 }

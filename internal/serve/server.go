@@ -662,7 +662,9 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // Both tiers self-heal: a trace that fails to replay is useless for
 // every future configuration, so the memory tier drops it and the disk
 // tier quarantines the backing file, and the fill falls through to a
-// live run that re-records it.
+// live run that re-records it. A trace in an older format version is
+// stale rather than corrupt: it is dropped without quarantine, and the
+// live run's re-recording overwrites its file.
 func (s *Server) analyzeFill(name, source string, cfg core.Config, budgets Budgets) (*core.Report, error) {
 	if s.traces == nil && s.store == nil {
 		return core.RunSource(name, source, cfg, s.runOptions(budgets))
@@ -675,7 +677,7 @@ func (s *Server) analyzeFill(name, source string, cfg core.Config, budgets Budge
 				return rep, nil
 			}
 			s.traces.Drop(tkey)
-			if s.store != nil {
+			if s.store != nil && !errors.Is(err, core.ErrTraceVersion) {
 				// The disk copy is the same bytes (or worse): quarantine
 				// it rather than serve the poison again after a restart.
 				s.store.Quarantine(tkey)
@@ -701,8 +703,12 @@ func (s *Server) analyzeFill(name, source string, cfg core.Config, budgets Budge
 				}
 				return rep, nil
 			}
-			s.store.Quarantine(tkey)
-			s.log.Warn("quarantined unreplayable trace file", "name", name, "key", tkey[:12], "err", rerr)
+			if errors.Is(rerr, core.ErrTraceVersion) {
+				s.log.Info("re-recording trace file of an older format version", "name", name, "key", tkey[:12], "err", rerr)
+			} else {
+				s.store.Quarantine(tkey)
+				s.log.Warn("quarantined unreplayable trace file", "name", name, "key", tkey[:12], "err", rerr)
+			}
 		}
 	}
 	info, err := core.AnalyzeSource(name, source)
@@ -714,11 +720,12 @@ func (s *Server) analyzeFill(name, source string, cfg core.Config, budgets Budge
 	opts.Trace = sink
 	rep, err := core.Run(info, cfg, opts)
 	if err == nil && !sink.overflow {
+		trace := sink.bytes()
 		if s.traces != nil {
-			s.traces.Put(tkey, info, sink.buf)
+			s.traces.Put(tkey, info, trace)
 		}
 		if s.store != nil {
-			if perr := s.store.Put(tkey, sink.buf); perr != nil {
+			if perr := s.store.Put(tkey, trace); perr != nil {
 				s.log.Warn("trace store write failed", "name", name, "key", tkey[:12], "err", perr)
 			}
 		}

@@ -163,21 +163,39 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 // cappedBuffer is the trace sink of a live run: it accepts writes up to
 // cap bytes and silently discards the rest (recording a trace must never
 // fail the run it rides on), flagging the overflow so the truncated trace
-// is not cached.
+// is not cached. Each write is kept as its own block and bytes joins
+// them into one exact-size slice once the run has succeeded, so
+// recording an N-byte trace allocates about 2N, where growing one slice
+// would allocate about 5N and leave spare capacity the cache does not
+// charge for.
 type cappedBuffer struct {
 	cap      int64
-	buf      []byte
+	size     int64 // bytes kept
+	blocks   [][]byte
 	overflow bool
 }
 
 func (b *cappedBuffer) Write(p []byte) (int, error) {
-	if room := b.cap - int64(len(b.buf)); room < int64(len(p)) {
+	keep := p
+	if room := b.cap - b.size; room < int64(len(p)) {
 		b.overflow = true
-		if room > 0 {
-			b.buf = append(b.buf, p[:room]...)
-		}
-	} else {
-		b.buf = append(b.buf, p...)
+		keep = p[:max(room, 0)]
+	}
+	if len(keep) > 0 {
+		b.blocks = append(b.blocks, append([]byte(nil), keep...))
+		b.size += int64(len(keep))
 	}
 	return len(p), nil
+}
+
+// bytes returns everything kept, as one slice of exactly that length.
+func (b *cappedBuffer) bytes() []byte {
+	if len(b.blocks) == 1 {
+		return b.blocks[0]
+	}
+	out := make([]byte, 0, b.size)
+	for _, blk := range b.blocks {
+		out = append(out, blk...)
+	}
+	return out
 }

@@ -74,7 +74,7 @@ func TestTraceCacheConcurrentDropDuringReplay(t *testing.T) {
 		t.Fatalf("recording run: err=%v overflow=%v", err, sink.overflow)
 	}
 	tc := NewTraceCache(1 << 20)
-	tc.Put("k", info, sink.buf)
+	tc.Put("k", info, sink.bytes())
 
 	// The dropper cycles Drop/Put until every reader has replayed its
 	// quota, so a Get always eventually wins no matter how the goroutines
@@ -111,7 +111,7 @@ func TestTraceCacheConcurrentDropDuringReplay(t *testing.T) {
 		<-start
 		for !stopDrop.Load() {
 			tc.Drop("k")
-			tc.Put("k", info, sink.buf)
+			tc.Put("k", info, sink.bytes())
 		}
 		tc.Drop("k")
 	}()
@@ -194,8 +194,8 @@ func TestCappedBuffer(t *testing.T) {
 			t.Fatalf("write %d: (%d, %v), want (4, nil)", i, n, err)
 		}
 	}
-	if !b.overflow || len(b.buf) != 10 {
-		t.Errorf("overflow=%v len=%d, want flagged overflow holding 10 bytes", b.overflow, len(b.buf))
+	if !b.overflow || b.size != 10 {
+		t.Errorf("overflow=%v size=%d, want flagged overflow holding 10 bytes", b.overflow, b.size)
 	}
 }
 

@@ -226,6 +226,57 @@ func TestAnalyzeMemoryPoisonQuarantinesDiskCopy(t *testing.T) {
 	}
 }
 
+// TestAnalyzeStaleTraceVersionReRecords: after an upgrade, every stored
+// trace is in the previous format version. Such a file is a cache miss,
+// not corruption: the request is served live, nothing is quarantined,
+// and the live run overwrites the file with a trace this build replays.
+func TestAnalyzeStaleTraceVersionReRecords(t *testing.T) {
+	dir := t.TempDir()
+	s, front := newTestServer(t, Options{TraceDir: dir, ScrubInterval: -1})
+	tkey := TraceKey("stale", okSrc, s.effectiveBudgets(nil))
+	info, err := core.AnalyzeSource("stale", okSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := core.Run(info, core.BestHELIX(), core.RunOptions{Trace: &buf}); err != nil {
+		t.Fatal(err)
+	}
+	stale := buf.Bytes()
+	stale[4] = 1 // the version byte, after the 4-byte magic
+	if err := s.store.Put(tkey, stale); err != nil {
+		t.Fatal(err)
+	}
+	before := s.store.Stats()
+
+	status, body := postJSON(t, front.URL+"/v1/analyze",
+		AnalyzeRequest{Name: "stale", Source: okSrc, Config: "reduc1-dep1-fn2 HELIX"})
+	if status != http.StatusOK {
+		t.Fatalf("analyze over a stale trace: %d\n%s", status, body)
+	}
+	if ents, err := os.ReadDir(filepath.Join(dir, quarantineDir)); err != nil || len(ents) != 0 {
+		t.Fatalf("quarantine/ = %v (%v), want empty", ents, err)
+	}
+	after := s.store.Stats()
+	if after.Quarantined != before.Quarantined {
+		t.Fatalf("quarantine counter %d -> %d, want unchanged", before.Quarantined, after.Quarantined)
+	}
+	if after.Puts != before.Puts+1 {
+		t.Fatalf("store puts %d -> %d, want the live run to re-record the trace", before.Puts, after.Puts)
+	}
+	trace, err := s.store.Get(tkey)
+	if err != nil || trace == nil {
+		t.Fatalf("re-recorded trace: %v", err)
+	}
+	rep, err := core.ReplayTrace("stale", info, core.BestHELIX(), core.RunOptions{}, bytes.NewReader(trace))
+	if err != nil {
+		t.Fatalf("re-recorded trace does not replay: %v", err)
+	}
+	if ar := decodeAnalyze(t, body); !reflect.DeepEqual(rep, ar.Report) {
+		t.Errorf("replay of the re-recorded trace differs from the live response:\nlive:   %+v\nreplay: %+v", ar.Report, rep)
+	}
+}
+
 // flipByte corrupts one payload byte of a chunked file in place.
 func flipByte(t *testing.T, path string) {
 	t.Helper()
