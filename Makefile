@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: ci quick build vet test race bench benchsmoke fanout-oracle lpperf-test fuzz fuzz-smoke figures cover golden chaos-smoke vuln clean
+.PHONY: ci quick build vet fmt test race bench benchsmoke fanout-oracle lpperf-test fuzz fuzz-smoke figures cover golden chaos-smoke vuln clean
 
-ci: build vet test race cover benchsmoke fanout-oracle lpperf-test fuzz-smoke chaos-smoke vuln
+ci: build vet fmt test race cover benchsmoke fanout-oracle lpperf-test fuzz-smoke chaos-smoke vuln
 
 quick: build vet
 	$(GO) test -short ./...
@@ -16,6 +16,12 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file in the tree is not gofmt-clean, listing them.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
+		echo "fmt: gofmt -l reports unformatted files:"; echo "$$out"; exit 1; \
+	fi
 
 test:
 	$(GO) test ./...
@@ -66,12 +72,15 @@ benchsmoke:
 # GOMAXPROCS=1, and to the class-affinity worker pool otherwise), so both
 # legs must produce bit-identical reports. `make test`/`make race` already
 # cover the default; the GOMAXPROCS=1 leg pins the inline path explicitly.
+# TestShadowPageRecycling runs MultiRun and ReplayTraceMulti from four
+# goroutines at once, so both legs also check reports while shadow pages
+# move between concurrent runs.
 fanout-oracle:
 	GOMAXPROCS=1 $(GO) test -count=1 \
-		-run='TestFanoutDifferentialOracle|TestMultiRun|TestParallelDeterminism|TestFanoutWorkers' \
+		-run='TestFanoutDifferentialOracle|TestMultiRun|TestParallelDeterminism|TestFanoutWorkers|TestShadowPageRecycling' \
 		./internal/core ./internal/bench
 	$(GO) test -count=1 \
-		-run='TestFanoutDifferentialOracle|TestParallelDeterminism' \
+		-run='TestFanoutDifferentialOracle|TestParallelDeterminism|TestShadowPageRecycling' \
 		./internal/core ./internal/bench
 
 # cmd/lpperf is a nested module (the BENCHMARK.json runner) that the root
@@ -125,14 +134,14 @@ vuln:
 # and parallel vs serial sub-benchmarks, the paper-grid fan-out sweep,
 # trace replay of every kernel with its trace-size census, plus the
 # bytecode compiler's opcode-mix census) and the root interpreter
-# benchmark, rendered to BENCH_PR13.json with the speedup-ratio tables
+# benchmark, rendered to BENCH_PR14.json with the speedup-ratio tables
 # and the measuring box's CPU count. Earlier BENCH_PR*.json files are
 # checked-in baselines; benchsmoke gates against the newest.
 bench:
 	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|SweepEngines|BytecodeLowering|TraceReplay' \
 		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench | tee bench.out
 	$(GO) test -run='^$$' -bench='^BenchmarkInterpreter$$' -benchmem -count=1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR13.json bench.out
+	$(GO) run ./cmd/benchjson -o BENCH_PR14.json bench.out
 	rm -f bench.out
 
 figures:

@@ -116,3 +116,13 @@ func (s *engineSet) reports(cfgs []Config, name string) []*Report {
 	}
 	return out
 }
+
+// release returns every engine's shadow pages for reuse by later runs.
+// Call it once no engine can see another event, after the reports are
+// derived or the run has failed; after a recovered panic the pages are
+// left to the GC instead.
+func (s *engineSet) release() {
+	for _, e := range s.engines {
+		e.sh.release()
+	}
+}

@@ -20,7 +20,7 @@ import (
 // parallelism, realized online.
 //
 // Dependence storage lives behind a depTracker: the default shadow memory
-// (flat generation-stamped tables) or the legacy per-instance maps kept as
+// (paged generation-stamped tables) or the legacy per-instance maps kept as
 // a differential oracle (see TrackerKind).
 type Engine struct {
 	info *analysis.ModuleInfo

@@ -544,24 +544,26 @@ func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps [
 		hooks = &multiHooks{hs: []interp.Hooks{t, tw}}
 	}
 
-	runErr := interpret(info, opts, hooks)
+	err = interpret(info, opts, hooks)
 	t.finish()
 	if pool != nil {
 		p := pool.close()
 		pool = nil
 		if p != nil {
+			// A worker panicked: its pages are left to the GC.
 			return nil, fmt.Errorf("core: %s: %w", info.Mod.Name, p)
 		}
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			return nil, fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, err)
+	if err == nil && tw != nil {
+		if cerr := tw.Close(); cerr != nil {
+			err = fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, cerr)
 		}
 	}
-	return set.reports(cfgs, info.Mod.Name), nil
+	if err == nil {
+		reps = set.reports(cfgs, info.Mod.Name)
+	}
+	set.release()
+	return reps, err
 }
 
 // interpret runs main under the selected execution engine with the given

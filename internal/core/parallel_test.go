@@ -3,18 +3,21 @@ package core
 // Tests for the class-affinity worker pool: worker-count resolution,
 // bit-identical determinism across worker counts and shuffled
 // chunk-arrival timing, concurrent read-only sharing of one
-// chunk's span summaries (the -race gate of the precomputation pass), and
-// the memRun summary contract.
+// chunk's span summaries (the -race gate of the precomputation pass),
+// shadow pages recycled across concurrent runs, and the memRun summary
+// contract.
 
 import (
 	"bytes"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/interp"
 )
 
@@ -244,6 +247,64 @@ func TestSpanSummarySharedRace(t *testing.T) {
 			t.Errorf("%s: concurrent summary readers diverged from serial replay: %v", cfgs[i], err)
 		}
 	}
+}
+
+// TestShadowPageRecycling runs MultiRun and ReplayTraceMulti from four
+// goroutines at once, for several rounds over the fanoutSamples programs,
+// so shadow pages one run releases are reused by runs on other goroutines
+// (pool workers included), in other trackers and at other nesting levels.
+// Every report must equal per-configuration Run's. `make race` runs it
+// under the race detector.
+func TestShadowPageRecycling(t *testing.T) {
+	cfgs := PaperConfigs()
+	type sample struct {
+		name  string
+		info  *analysis.ModuleInfo
+		trace []byte
+		want  []*Report
+	}
+	names := make([]string, 0, len(fanoutSamples))
+	for name := range fanoutSamples {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	samples := make([]sample, len(names))
+	for i, name := range names {
+		info, trace, want := record(t, name, fanoutSamples[name], cfgs)
+		samples[i] = sample{name, info, trace, want}
+	}
+	const goroutines, rounds = 4, 3
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < rounds; round++ {
+				for k := range samples {
+					s := &samples[(k+g)%len(samples)]
+					var got []*Report
+					var err error
+					how := "MultiRun"
+					if (g+round+k)%2 == 0 {
+						got, err = MultiRun(s.info, cfgs, RunOptions{Parallelism: 1 + (g+round)%2})
+					} else {
+						how = "ReplayTraceMulti"
+						got, err = ReplayTraceMulti(s.name, s.info, cfgs, RunOptions{}, bytes.NewReader(s.trace))
+					}
+					if err != nil {
+						t.Errorf("goroutine %d round %d: %s %s: %v", g, round, how, s.name, err)
+						return
+					}
+					for i := range cfgs {
+						if err := CompareReports(s.want[i], got[i]); err != nil {
+							t.Errorf("goroutine %d round %d: %s %s/%s: %v", g, round, how, s.name, cfgs[i], err)
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestMemRunSummaryContract: for spans engineered onto each fast path —

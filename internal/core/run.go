@@ -77,15 +77,19 @@ func Run(info *analysis.ModuleInfo, cfg Config, opts RunOptions) (rep *Report, e
 	if tw != nil {
 		hooks = &multiHooks{hs: []interp.Hooks{engine, tw}}
 	}
-	if err := interpret(info, opts, hooks); err != nil {
-		return nil, err
-	}
-	if tw != nil {
-		if err := tw.Close(); err != nil {
-			return nil, fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, err)
+	err = interpret(info, opts, hooks)
+	if err == nil && tw != nil {
+		if cerr := tw.Close(); cerr != nil {
+			err = fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, cerr)
 		}
 	}
-	return engine.Report(info.Mod.Name), nil
+	if err == nil {
+		rep = engine.Report(info.Mod.Name)
+	}
+	// A panic never reaches this line, so a panicked run's pages are left
+	// to the GC.
+	engine.sh.release()
+	return rep, err
 }
 
 // RunSource compiles LPC source, analyzes it, and runs the limit study —

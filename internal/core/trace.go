@@ -639,18 +639,19 @@ func ReplayTraceMulti(name string, info *analysis.ModuleInfo, cfgs []Config, opt
 	}
 	tr, err := NewTraceReader(r, info)
 	if err != nil {
-		return nil, err
+		return nil, err // no engine has seen an event, so none holds a page
 	}
 	if len(set.engines) == 1 {
-		if err := tr.Replay(set.engines[0]); err != nil {
-			return nil, err
+		err = tr.Replay(set.engines[0])
+	} else {
+		tee := inlineTee(set.engines)
+		if err = tr.Replay(tee); err == nil {
+			tee.finish()
 		}
-		return set.reports(cfgs, name), nil
 	}
-	tee := inlineTee(set.engines)
-	if err := tr.Replay(tee); err != nil {
-		return nil, err
+	if err == nil {
+		reps = set.reports(cfgs, name)
 	}
-	tee.finish()
-	return set.reports(cfgs, name), nil
+	set.release()
+	return reps, err
 }

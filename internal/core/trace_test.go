@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -349,5 +351,85 @@ func TestTraceReaderNoProgress(t *testing.T) {
 	}
 	if err := tr.Replay(interp.NopHooks{}); err == nil || !strings.Contains(err.Error(), "already replayed") {
 		t.Errorf("second Replay: %v, want already-replayed error", err)
+	}
+}
+
+// nest4Src has four nested loops, all statically parallel under every
+// paper configuration.
+const nest4Src = `
+var a [16]int;
+func main() int {
+	var i int;
+	var j int;
+	var k int;
+	var l int;
+	for (i = 0; i < 2; i = i + 1) {
+		for (j = 0; j < 2; j = j + 1) {
+			for (k = 0; k < 2; k = k + 1) {
+				for (l = 0; l < 2; l = l + 1) {
+					a[l] = i + j + k + l;
+				}
+			}
+		}
+	}
+	return a[0];
+}`
+
+// TestReplayWildStoreMemoryBounded pins what a replayed trace can make the
+// engines allocate with one store at the last flat heap cell: a page and
+// a directory per live level, not a table reaching the cell. Both traces
+// are a few dozen bytes; before paged shadow memory, (a) allocated
+// 384 MiB and (b) 8,449 MiB.
+func TestReplayWildStoreMemoryBounded(t *testing.T) {
+	info := mustAnalyze(t, "nest4", nest4Src)
+	loops := slices.Clone(info.Loops)
+	slices.SortFunc(loops, func(a, b *analysis.LoopMeta) int { return a.Loop.Depth - b.Loop.Depth })
+	if len(loops) != 4 || loops[3].Loop.Depth != 4 {
+		t.Fatalf("nest4Src: want four nested loops, got %d", len(loops))
+	}
+	wild := int64(interp.HeapBase) + heapFlatCap - 1
+	trace := func(levels int) []byte {
+		var buf bytes.Buffer
+		tw := NewTraceWriter(&buf, info)
+		for _, lm := range loops[:levels] {
+			tw.EnterLoop(lm, interp.StackTop, nil)
+		}
+		tw.Store(wild)
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	replayOne := func(data []byte) error {
+		_, err := ReplayTrace("nest4", info, BestHELIX(), RunOptions{}, bytes.NewReader(data))
+		return err
+	}
+	replayGrid := func(data []byte) error {
+		_, err := ReplayTraceMulti("nest4", info, PaperConfigs(), RunOptions{}, bytes.NewReader(data))
+		return err
+	}
+	for _, tc := range []struct {
+		name   string
+		levels int
+		replay func([]byte) error
+		limit  uint64
+	}{
+		{"a/one-level", 1, replayOne, 1 << 20},
+		{"b/four-levels", 4, replayGrid, 8 << 20},
+	} {
+		data := trace(tc.levels)
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		err := tc.replay(data)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		grew := ms.TotalAlloc - before
+		t.Logf("%s: a %d-byte trace allocated %.2f MiB", tc.name, len(data), float64(grew)/(1<<20))
+		if grew > tc.limit {
+			t.Errorf("%s: replaying a %d-byte trace allocated %d bytes, want <= %d", tc.name, len(data), grew, tc.limit)
+		}
 	}
 }

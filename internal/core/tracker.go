@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/interp"
@@ -14,8 +16,8 @@ import (
 type TrackerKind int
 
 const (
-	// TrackerShadow is the default: a flat, generation-stamped shadow
-	// memory. Load/Store cost one array index plus a generation compare
+	// TrackerShadow is the default: a paged, generation-stamped shadow
+	// memory. Load/Store cost one page lookup plus a generation compare
 	// per active loop level, and clearing an instance is a generation
 	// bump instead of a map drop.
 	TrackerShadow TrackerKind = iota
@@ -216,11 +218,12 @@ func (mapTracker) memRun(inst *instance, evs []memEv,
 }
 
 // Shadow-memory geometry. Guest addresses split into three dense regions
-// (low/global, heap, stack); each region of each nesting level is a flat
-// table indexed by the region offset, grown geometrically as addresses are
-// touched. Addresses outside a region's flat cap (wild pointers, or heaps
-// larger than the flat budget) fall back to a per-level overflow map, so a
-// given address is *always* flat or *always* overflow for the whole run.
+// (low/global, heap, stack); each region of each nesting level is a
+// directory of fixed-size pages indexed by the region offset, a page
+// allocated on the level's first store into it. Addresses outside a
+// region's flat cap (wild pointers, or heaps larger than the flat budget)
+// fall back to a per-level overflow map, so a given address is *always*
+// flat or *always* overflow for the whole run.
 const (
 	// regLow covers [0, HeapBase): null, globals, and any stray low
 	// address. Its flat cap is the exact end of the global segment.
@@ -230,13 +233,18 @@ const (
 	// regStack covers the stack segment (IsStackAddr).
 	regStack = 2
 
-	// heapFlatCap bounds the flat heap table per level; heap offsets at
-	// or above it use the overflow map. 1<<24 entries * 24 B = 384 MiB
-	// worst case per fully-touched level, reached only geometrically.
+	// heapFlatCap bounds the flat heap region per level; heap offsets at
+	// or above it use the overflow map. A level pays only for the pages
+	// it stores into, plus a directory reaching the highest of them: at
+	// most heapFlatCap/pageSize = 16,384 pointers (128 KiB), which is
+	// what one wild store near the cap costs the level.
 	heapFlatCap = int64(1) << 24
 
-	// minShadowTab is the initial flat-table size on first touch.
-	minShadowTab = 64
+	// pageShift sets the shadow page size: pageSize region offsets per
+	// page, 8 KiB of stamps plus 16 KiB of records.
+	pageShift = 10
+	pageSize  = 1 << pageShift
+	pageMask  = pageSize - 1
 
 	// overflowPruneLimit bounds how many stale overflow records a level
 	// may retain across generations. A generation bump invalidates every
@@ -254,21 +262,33 @@ type shadowRec struct {
 	writeRec
 }
 
+// shadowPage is pageSize consecutive region offsets of one level's flat
+// shadow memory, in structure-of-arrays layout: generation stamps in their
+// own densely-packed array, the write records in a parallel one. The
+// common miss — a stale generation — touches only the 8-byte stamp, so
+// one cache line answers eight addresses.
+type shadowPage struct {
+	gens [pageSize]uint64
+	recs [pageSize]writeRec
+}
+
+// shadowPages recycles pages across runs. A page comes back holding its
+// last owner's stamps and is reused as is: every generation is drawn once
+// from shadowGen, so no stale stamp equals a live level's generation.
+var shadowPages = sync.Pool{New: func() any { return new(shadowPage) }}
+
+// shadowGen issues the generation of every level in the process. It never
+// issues 0, the stamp of a new page.
+var shadowGen atomic.Uint64
+
 // shadowLevel is the shadow memory of one loop-nesting level. Exactly one
 // active instance occupies a level at a time (levels are stack depths), so
-// a single generation counter distinguishes the current instance's writes
-// from stale ones.
-//
-// The flat tables use a structure-of-arrays layout: generation stamps live
-// in their own densely-packed uint64 arrays (gens), the write records in
-// parallel arrays (recs). The common miss — a stale generation — touches
-// only the 8-byte stamp, so one cache line answers eight addresses instead
-// of the two it covered when stamp and record were interleaved.
+// a single generation distinguishes the current instance's writes from
+// stale ones.
 type shadowLevel struct {
-	gen  uint64
-	gens [3][]uint64   // generation stamps, indexed by region offset
-	recs [3][]writeRec // write records, parallel to gens
-	over map[int64]shadowRec
+	gen   uint64
+	pages [3][]*shadowPage // page directory per region, indexed by offset>>pageShift
+	over  map[int64]shadowRec
 
 	// stMin/stMax bound the dense indices of every write recorded in the
 	// CURRENT generation, per region (flat and overflow alike — the dense
@@ -285,7 +305,7 @@ type shadowLevel struct {
 // map (whose entries are now all stale) so dead records do not accumulate
 // across enter/drop cycles.
 func (lvl *shadowLevel) bump() {
-	lvl.gen++
+	lvl.gen = shadowGen.Add(1)
 	if len(lvl.over) > overflowPruneLimit {
 		clear(lvl.over)
 	}
@@ -314,10 +334,21 @@ func (lvl *shadowLevel) disjoint(sum *spanSum) bool {
 	return true
 }
 
-// shadowTracker implements depTracker with generation-stamped flat tables.
+// page returns the page holding flat offset idx of region r, or nil before
+// the level's first store into it. It is small enough to inline, so the
+// batched loops pay no call for it.
+func (lvl *shadowLevel) page(r int, idx int64) *shadowPage {
+	if pi := uint64(idx) >> pageShift; pi < uint64(len(lvl.pages[r])) {
+		return lvl.pages[r][pi]
+	}
+	return nil
+}
+
+// shadowTracker implements depTracker with generation-stamped paged
+// tables.
 type shadowTracker struct {
 	levels []*shadowLevel
-	caps   [3]int64 // flat-table cap per region
+	caps   [3]int64 // flat-region cap per region
 }
 
 func newShadowTracker(info *analysis.ModuleInfo) *shadowTracker {
@@ -346,6 +377,44 @@ func region(addr int64) (r int, idx int64) {
 	return regLow, addr
 }
 
+// touch gives lvl a page for flat offset idx of region r, on the level's
+// first store into that page. The directory doubles, so a sweep over n
+// pages copies O(n) pointers, but never past the region's last page.
+func (t *shadowTracker) touch(lvl *shadowLevel, r int, idx int64) *shadowPage {
+	pi := int(idx >> pageShift)
+	dir := lvl.pages[r]
+	if pi >= len(dir) {
+		n := min(max(pi+1, 2*len(dir)), int((t.caps[r]+pageMask)>>pageShift))
+		grown := make([]*shadowPage, n)
+		copy(grown, dir)
+		dir = grown
+		lvl.pages[r] = dir
+	}
+	pg := shadowPages.Get().(*shadowPage)
+	dir[pi] = pg
+	return pg
+}
+
+// release returns every page to shadowPages and drops the levels, so a
+// page is never in two directories. Call it once, after the engine has
+// replayed its last event. A nil tracker (an engine on the map oracle)
+// has nothing to release.
+func (t *shadowTracker) release() {
+	if t == nil {
+		return
+	}
+	for _, lvl := range t.levels {
+		for _, dir := range lvl.pages {
+			for _, pg := range dir {
+				if pg != nil {
+					shadowPages.Put(pg)
+				}
+			}
+		}
+	}
+	t.levels = nil
+}
+
 func (t *shadowTracker) enter(inst *instance) {
 	for int(inst.depth) >= len(t.levels) {
 		t.levels = append(t.levels, &shadowLevel{})
@@ -360,44 +429,43 @@ func (t *shadowTracker) drop(inst *instance) {
 
 func (t *shadowTracker) loadAt(inst *instance, r int, idx int64, addr int64) (writeRec, bool) {
 	lvl := t.levels[inst.depth]
-	if idx < 0 || idx >= t.caps[r] {
+	if uint64(idx) >= uint64(t.caps[r]) {
 		rec, ok := lvl.over[addr]
 		if !ok || rec.gen != lvl.gen {
 			return writeRec{}, false
 		}
 		return rec.writeRec, true
 	}
-	gens := lvl.gens[r]
-	if idx >= int64(len(gens)) || gens[idx] != lvl.gen {
+	pg := lvl.page(r, idx)
+	if pg == nil || pg.gens[idx&pageMask] != lvl.gen {
 		return writeRec{}, false
 	}
-	return lvl.recs[r][idx], true
+	return pg.recs[idx&pageMask], true
 }
 
 func (t *shadowTracker) storeAt(inst *instance, r int, idx int64, addr int64, rec writeRec) {
 	lvl := t.levels[inst.depth]
 	lvl.note(r, idx)
-	if idx < 0 || idx >= t.caps[r] {
+	if uint64(idx) >= uint64(t.caps[r]) {
 		if lvl.over == nil {
 			lvl.over = map[int64]shadowRec{}
 		}
 		lvl.over[addr] = shadowRec{gen: lvl.gen, writeRec: rec}
 		return
 	}
-	gens := lvl.gens[r]
-	if idx >= int64(len(gens)) {
-		lvl.grow(r, idx, t.caps[r])
-		gens = lvl.gens[r]
+	pg := lvl.page(r, idx)
+	if pg == nil {
+		pg = t.touch(lvl, r, idx)
 	}
-	gens[idx] = lvl.gen
-	lvl.recs[r][idx] = rec
+	pg.gens[idx&pageMask] = lvl.gen
+	pg.recs[idx&pageMask] = rec
 }
 
 // memRun is the shadow fast path for a mixed load/store run: the level and
 // its generation are hoisted out of the per-record loop, so the common
-// case — a dense store, or a dense load missing on a stale generation —
-// costs one region-array index plus one stamp compare. Thanks to the SoA
-// layout, a miss touches only the 8-byte stamp.
+// case — a flat store, or a flat load missing on a stale generation —
+// costs one cap compare, one directory index and one stamp access. Thanks
+// to the SoA page layout, a miss touches only the 8-byte stamp.
 //
 // When the span's shared summary proves its loads cannot hit — the span is
 // self-conflict-free and its load-index intervals are disjoint from every
@@ -428,44 +496,40 @@ func (t *shadowTracker) memRun(inst *instance, evs []memEv,
 		if r == regStack && ev.addr < spLimit {
 			continue
 		}
-		gens := lvl.gens[r]
+		flat := uint64(idx) < uint64(t.caps[r])
 		if ev.kind == memStore {
 			lvl.note(r, idx)
 			rec := writeRec{iter: iter, off: offBase + ev.tick}
-			if uint64(idx) < uint64(len(gens)) {
-				gens[idx] = gen
-				lvl.recs[r][idx] = rec
+			if !flat {
+				if lvl.over == nil {
+					lvl.over = map[int64]shadowRec{}
+				}
+				lvl.over[ev.addr] = shadowRec{gen: gen, writeRec: rec}
 				continue
 			}
-			if idx >= 0 && idx < t.caps[r] { // dense but not yet grown
-				lvl.grow(r, idx, t.caps[r])
-				lvl.gens[r][idx] = gen
-				lvl.recs[r][idx] = rec
-				continue
+			pg := lvl.page(r, idx)
+			if pg == nil {
+				pg = t.touch(lvl, r, idx)
 			}
-			if lvl.over == nil {
-				lvl.over = map[int64]shadowRec{}
-			}
-			lvl.over[ev.addr] = shadowRec{gen: gen, writeRec: rec}
+			pg.gens[idx&pageMask] = gen
+			pg.recs[idx&pageMask] = rec
 			continue
 		}
 		// Load.
-		if uint64(idx) < uint64(len(gens)) {
-			if gens[idx] != gen {
+		if !flat {
+			rec, ok := lvl.over[ev.addr]
+			if !ok || rec.gen != gen {
 				continue
 			}
-			hitIdx[nh], hitRecs[nh] = int32(i), lvl.recs[r][idx]
+			hitIdx[nh], hitRecs[nh] = int32(i), rec.writeRec
 			nh++
 			continue
 		}
-		if idx >= 0 && idx < t.caps[r] { // dense but not yet grown
+		pg := lvl.page(r, idx)
+		if pg == nil || pg.gens[idx&pageMask] != gen {
 			continue
 		}
-		rec, ok := lvl.over[ev.addr]
-		if !ok || rec.gen != gen {
-			continue
-		}
-		hitIdx[nh], hitRecs[nh] = int32(i), rec.writeRec
+		hitIdx[nh], hitRecs[nh] = int32(i), pg.recs[idx&pageMask]
 		nh++
 	}
 	return nh
@@ -491,53 +555,21 @@ func (t *shadowTracker) storeRun(lvl *shadowLevel, evs []memEv,
 		idx := ev.idx
 		lvl.note(r, idx)
 		rec := writeRec{iter: iter, off: offBase + ev.tick}
-		gens := lvl.gens[r]
-		if uint64(idx) < uint64(len(gens)) {
-			gens[idx] = gen
-			lvl.recs[r][idx] = rec
+		if uint64(idx) >= uint64(t.caps[r]) {
+			if lvl.over == nil {
+				lvl.over = map[int64]shadowRec{}
+			}
+			lvl.over[ev.addr] = shadowRec{gen: gen, writeRec: rec}
 			continue
 		}
-		if idx >= 0 && idx < t.caps[r] { // dense but not yet grown
-			lvl.grow(r, idx, t.caps[r])
-			lvl.gens[r][idx] = gen
-			lvl.recs[r][idx] = rec
-			continue
+		pg := lvl.page(r, idx)
+		if pg == nil {
+			pg = t.touch(lvl, r, idx)
 		}
-		if lvl.over == nil {
-			lvl.over = map[int64]shadowRec{}
-		}
-		lvl.over[ev.addr] = shadowRec{gen: gen, writeRec: rec}
+		pg.gens[idx&pageMask] = gen
+		pg.recs[idx&pageMask] = rec
 	}
 	return 0
-}
-
-// grow extends a region's flat tables to cover idx: geometric doubling
-// from minShadowTab, clamped to the region cap. Stale prefixes keep their
-// old generation stamps, so no clearing is needed. The gens and recs
-// arrays grow in lockstep to stay parallel.
-func (lvl *shadowLevel) grow(r int, idx, cap64 int64) {
-	n := growShadowTab(int64(len(lvl.gens[r])), idx, cap64)
-	gens := make([]uint64, n)
-	copy(gens, lvl.gens[r])
-	lvl.gens[r] = gens
-	recs := make([]writeRec, n)
-	copy(recs, lvl.recs[r])
-	lvl.recs[r] = recs
-}
-
-// growShadowTab computes the grown table size covering idx: geometric
-// doubling from minShadowTab, clamped to the region cap.
-func growShadowTab(n, idx, cap64 int64) int64 {
-	if n < minShadowTab {
-		n = minShadowTab
-	}
-	for n <= idx {
-		n *= 2
-	}
-	if n > cap64 {
-		n = cap64
-	}
-	return n
 }
 
 // newTracker builds the tracker for a kind.

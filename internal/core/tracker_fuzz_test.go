@@ -4,12 +4,12 @@ import "testing"
 
 // FuzzTrackerDifferential feeds arbitrary (depth, region, addr, op)
 // streams to the shadow-vs-legacy tracker differential driver: any
-// divergence between the SoA shadow memory and the map oracle — a wrong
-// hit, a stale-generation leak, a mis-clamped table, a dropped overflow
-// record — fails immediately. The seed corpus (testdata/fuzz plus the
-// f.Add entries below) starts the search at the region-cap and
-// generation-churn boundaries; `make fuzz-smoke` runs this coverage-guided
-// for a few seconds per CI pass.
+// divergence between the paged shadow memory and the map oracle — a wrong
+// hit, a stale-generation leak (recycled pages included), a misplaced
+// page, a dropped overflow record — fails immediately. The seed corpus
+// (testdata/fuzz plus the f.Add entries below) starts the search at the
+// region-cap, page-recycling and generation-churn boundaries; `make
+// fuzz-smoke` runs this coverage-guided for a few seconds per CI pass.
 func FuzzTrackerDifferential(f *testing.F) {
 	// Store/load at the regLow clamp edge, a memory span, then drop,
 	// re-enter, and reload: the stale record must be invisible.
@@ -26,6 +26,13 @@ func FuzzTrackerDifferential(f *testing.F) {
 	// filter on and off (even/odd trailing byte).
 	f.Add([]byte("\x00\x00\x00\x00\x06\x05\x0f\x04\x07\x02\x09\x02" +
 		"\x06\x01\x03\x06\x07\x00\x0c\x08"))
+	// Store at the last cell of heap page 0, drop, release the pages (a
+	// drop with no level active), re-enter, store at the page's first
+	// cell — which takes the released page back from the pool, old stamp
+	// and all — then reload the last cell, which must read as absent, and
+	// run a memory span.
+	f.Add([]byte("\x00\x00\x00\x00\x02\x00\x05\x00\x01\x00\x00\x00\x01\x00\x00\x00" +
+		"\x00\x00\x00\x00\x02\x00\x04\x00\x04\x00\x05\x00\x06\x01\x05\x02"))
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		// Bound the stream so a pathological input stays unit-test cheap.
 		if len(ops) > 4096 {

@@ -5,9 +5,9 @@ package core
 // side-by-side, comparing every load answer and every batched memRun hit
 // list. Unlike the full-suite oracles (which only exercise addresses real
 // benchmarks produce), the stream generator deliberately lands on the
-// boundaries — region cap edges, growShadowTab doubling and clamp points,
-// the overflow-map fallback, stack-filter limits, and generation churn.
-// The same driver backs FuzzTrackerDifferential.
+// boundaries — region cap edges, shadow page edges, the overflow-map
+// fallback, stack-filter limits, generation churn, and pages recycled
+// through shadowPages. The same driver backs FuzzTrackerDifferential.
 
 import (
 	"fmt"
@@ -19,9 +19,9 @@ import (
 	"loopapalooza/internal/ir"
 )
 
-// diffGlobalWords sizes the test module's global segment: an odd,
-// non-power-of-two regLow cap (GlobalBase+100 = 116) so geometric table
-// growth from minShadowTab=64 must clamp (64 → 128 → 116).
+// diffGlobalWords sizes the test module's global segment: a regLow cap
+// (GlobalBase+100 = 116) inside the first page, so that page is only
+// partly flat.
 const diffGlobalWords = 100
 
 // diffGlobalEnd is the resulting regLow flat cap.
@@ -34,22 +34,24 @@ func trackerDiffInfo() *analysis.ModuleInfo {
 	return &analysis.ModuleInfo{Mod: m}
 }
 
-// diffHeapCap / diffStackCap are the shrunken flat-table caps the
+// diffHeapCap / diffStackCap are the shrunken flat-region caps the
 // differential driver installs on its shadow tracker. The production caps
 // put the flat/overflow boundary megabytes in (heapFlatCap = 1<<24 words),
-// so landing streams on it would allocate hundred-MB tables per trial; the
-// boundary LOGIC is cap-relative, so a small cap exercises the identical
-// paths — growth clamped at the cap, the last flat cell, the first
-// overflow cell — at unit-test cost. The map oracle has no caps at all,
-// which is exactly why the differential stays valid under the override.
+// out of reach of offsets a selector byte can pick; the boundary LOGIC is
+// cap-relative, so a small cap exercises the identical paths — the
+// directory clamped at the cap, the last flat cell, the first overflow
+// cell — next to the page edges. The heap cap is not a page multiple (its
+// last page is only partly flat); the stack cap is exactly one page. The
+// map oracle has no caps at all, which is exactly why the differential
+// stays valid under the override.
 const (
-	diffHeapCap  = int64(1) << 12
-	diffStackCap = int64(1) << 10
+	diffHeapCap  = 3*pageSize + 500
+	diffStackCap = pageSize
 )
 
 // diffAddr maps two selector bytes to an address, biased so every region
-// boundary the shadow tracker special-cases is reachable: flat-table
-// interiors, the minShadowTab doubling edge, region cap edges (flat vs
+// boundary the shadow tracker special-cases is reachable: page interiors,
+// the last and first cells of adjacent pages, region cap edges (flat vs
 // overflow), the gaps between segments, negative wild pointers, and both
 // ends of the stack window.
 func diffAddr(sel, lo byte) int64 {
@@ -65,11 +67,13 @@ func diffAddr(sel, lo byte) int64 {
 	case 3:
 		return int64(interp.HeapBase) - 1 - o // gap below heap: overflow
 	case 4:
-		return int64(interp.HeapBase) + o // first heap table
+		return int64(interp.HeapBase) + o // first heap page
 	case 5:
-		return int64(interp.HeapBase) + minShadowTab - 1 + o%3 // doubling edge
+		// Page edges k·pageSize−1 and k·pageSize for k = 1..3, all
+		// below the heap cap.
+		return int64(interp.HeapBase) + (1+o%3)*pageSize - 1 + o/3%2
 	case 6:
-		return int64(interp.HeapBase) + o*257 // growth ladder crossing the cap
+		return int64(interp.HeapBase) + o*257 // a stride over the pages, crossing the cap
 	case 7:
 		return int64(interp.HeapBase) + diffHeapCap - 1 - o%2 // inside the flat cap
 	case 8:
@@ -119,12 +123,18 @@ func runTrackerDiff(tb testing.TB, ops []byte) {
 				mp.enter(mpInst[active])
 				active++
 			}
-		case 1: // drop the deepest level
+		case 1: // drop the deepest level; with none active, release
 			if active > 0 {
 				active--
 				sh.drop(shInst[active])
 				mp.drop(mpInst[active])
+				continue
 			}
+			// The shadow tracker's pages go back to shadowPages, so the
+			// next enters reuse pages still holding this run's stamps.
+			// The oracle has nothing to release: its instances start
+			// empty on enter anyway.
+			sh.release()
 		case 2, 3: // store at a random live depth
 			if active == 0 {
 				continue
@@ -213,31 +223,94 @@ func TestTrackerDifferentialProperty(t *testing.T) {
 	}
 }
 
-// TestGrowShadowTabClamp pins growShadowTab's edges: geometric doubling
-// from the minimum table, the exact doubling trigger (n <= idx), and the
-// clamp at a non-power-of-two region cap.
-func TestGrowShadowTabClamp(t *testing.T) {
-	cases := []struct{ n, idx, cap64, want int64 }{
-		{0, 0, 1 << 20, minShadowTab},      // first touch: minimum table
-		{0, 63, 1 << 20, 64},               // last index of the minimum table
-		{0, 64, 1 << 20, 128},              // one past: doubles once
-		{64, 64, 1 << 20, 128},             // doubling triggers at n == idx
-		{64, 255, 1 << 20, 256},            // two doublings
-		{128, 100, 1 << 20, 128},           // already covered: unchanged
-		{0, 100, diffGlobalEnd, 116},       // doubling overshoots odd cap: clamp
-		{64, 115, diffGlobalEnd, 116},      // last legal index under the cap
-		{0, 5, 10, 10},                     // cap below the minimum table size
-		{0, heapFlatCap - 1, heapFlatCap, heapFlatCap}, // top of the heap table
+// TestShadowPageGeometry pins the page directory at the edges of each
+// region's flat cap: the first store into a page allocates exactly that
+// page, the directory covers the page index without outgrowing the
+// region (also when it doubles past the region's middle), and the last
+// flat cell at each cap is paged and reads back. Where the cap lies
+// inside the region (low, heap), the cell at the cap goes to the overflow
+// map with no page at all; the stack's cap is the end of its segment.
+func TestShadowPageGeometry(t *testing.T) {
+	caps := newShadowTracker(trackerDiffInfo()).caps
+	regs := []struct {
+		name string
+		r    int
+		addr func(idx int64) int64 // inverse of region()
+	}{
+		{"low", regLow, func(idx int64) int64 { return idx }},
+		{"heap", regHeap, func(idx int64) int64 { return int64(interp.HeapBase) + idx }},
+		{"stack", regStack, func(idx int64) int64 { return int64(interp.StackTop) - 1 - idx }},
 	}
-	for _, c := range cases {
-		got := growShadowTab(c.n, c.idx, c.cap64)
-		if got != c.want {
-			t.Errorf("growShadowTab(%d, %d, %d) = %d, want %d", c.n, c.idx, c.cap64, got, c.want)
-		}
-		// The contract callers rely on: for idx < cap the grown table
-		// covers idx without exceeding the cap.
-		if got <= c.idx || got > c.cap64 {
-			t.Errorf("growShadowTab(%d, %d, %d) = %d violates idx < n <= cap", c.n, c.idx, c.cap64, got)
+	for _, reg := range regs {
+		limit := caps[reg.r]
+		maxDir := int((limit + pageMask) >> pageShift)
+		for _, idx := range []int64{0, pageSize - 1, pageSize, 5*pageSize + 6, limit/2 + pageSize, limit - 1} {
+			if idx >= limit {
+				continue // regLow's cap (116) lies inside the first page
+			}
+			sh := newShadowTracker(trackerDiffInfo())
+			inst := &instance{depth: 0}
+			sh.enter(inst)
+			lvl := sh.levels[0]
+			store := func(addr int64, rec writeRec) {
+				r, i := region(addr)
+				sh.storeAt(inst, r, i, addr, rec)
+			}
+			pages := func() int {
+				n := 0
+				for _, dir := range lvl.pages {
+					for _, pg := range dir {
+						if pg != nil {
+							n++
+						}
+					}
+				}
+				return n
+			}
+			addr := reg.addr(idx)
+			if r, i := region(addr); r != reg.r || i != idx {
+				t.Fatalf("%s: region(%#x) = (%d, %d), want (%d, %d)", reg.name, addr, r, i, reg.r, idx)
+			}
+			want := writeRec{iter: 1, off: idx}
+			store(addr, want)
+			dir := lvl.pages[reg.r]
+			if n := pages(); n != 1 {
+				t.Errorf("%s idx %d: first store allocated %d pages, want 1", reg.name, idx, n)
+			}
+			if pi := int(idx >> pageShift); pi >= len(dir) || dir[pi] == nil {
+				t.Errorf("%s idx %d: directory of %d entries does not hold page %d", reg.name, idx, len(dir), pi)
+			}
+			if len(dir) > maxDir {
+				t.Errorf("%s idx %d: directory of %d entries outgrows the region's %d pages", reg.name, idx, len(dir), maxDir)
+			}
+			// A store to the neighbouring cell of the same page
+			// allocates nothing.
+			store(reg.addr(idx^1), writeRec{iter: 2})
+			if n := pages(); n != 1 {
+				t.Errorf("%s idx %d: store into a held page allocated another (%d held)", reg.name, idx, n)
+			}
+			if rec, ok := sh.loadAt(inst, reg.r, idx, addr); !ok || rec != want {
+				t.Errorf("%s idx %d: loadAt = (%+v, %v), want (%+v, true)", reg.name, idx, rec, ok, want)
+			}
+			// The first cell of the next page takes one more page; the
+			// directory may double to reach it, but not past the region.
+			if next := (idx | pageMask) + 1; next < limit {
+				store(reg.addr(next), writeRec{iter: 4})
+				dir = lvl.pages[reg.r]
+				if n := pages(); n != 2 || len(dir) > maxDir {
+					t.Errorf("%s idx %d: store into the next page left %d pages and a %d-entry directory, want 2 and <= %d",
+						reg.name, idx, n, len(dir), maxDir)
+				}
+			}
+			if r, _ := region(reg.addr(limit)); r != reg.r {
+				continue
+			}
+			before := pages()
+			store(reg.addr(limit), writeRec{iter: 3})
+			if n := pages(); n != before || len(lvl.over) != 1 {
+				t.Errorf("%s: store at the cap (idx %d) left %d pages (was %d) and %d overflow entries, want 1",
+					reg.name, limit, n, before, len(lvl.over))
+			}
 		}
 	}
 }

@@ -117,8 +117,8 @@ func (l List) Truncate(file string) List {
 
 // Snippet renders the source line at pos with a caret under the column:
 //
-//	        s = s + x;
-//	                ^
+//	s = s + x;
+//	        ^
 //
 // Tabs in the source line are preserved in the caret line so the caret
 // aligns in any tab width. It returns "" when the position is out of range.

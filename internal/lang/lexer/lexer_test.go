@@ -197,4 +197,3 @@ func TestErrorCap(t *testing.T) {
 		t.Errorf("diagnostics = %d, want capped", n)
 	}
 }
-

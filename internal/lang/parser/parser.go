@@ -67,7 +67,7 @@ type parser struct {
 	lex    *lexer.Lexer
 	name   string
 	tok    token.Token
-	nread  int // tokens consumed; used to guarantee resync progress
+	nread  int              // tokens consumed; used to guarantee resync progress
 	consts map[string]int64 // module-level integer constants
 	diags  diag.List
 	depth  int // combined statement/expression nesting depth
