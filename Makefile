@@ -102,6 +102,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBytecodeDifferential$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzTrackerDifferential$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceDecode$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzFCMDifferential$$' -fuzztime=$(FUZZTIME) ./internal/predict
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/wal
 
 # Longer fuzzing session (override FUZZTIME for overnight runs).
@@ -133,15 +134,16 @@ vuln:
 # dispatch, end-to-end sweep; shadow vs legacy-map, bytecode vs treewalk,
 # and parallel vs serial sub-benchmarks, the paper-grid fan-out sweep,
 # trace replay of every kernel with its trace-size census, plus the
-# bytecode compiler's opcode-mix census) and the root interpreter
-# benchmark, rendered to BENCH_PR14.json with the speedup-ratio tables
-# and the measuring box's CPU count. Earlier BENCH_PR*.json files are
-# checked-in baselines; benchsmoke gates against the newest.
+# bytecode compiler's opcode-mix census) and the root interpreter and
+# value-predictor benchmarks, rendered to BENCH_PR15.json with the
+# speedup-ratio tables and the measuring box's CPU count. Earlier
+# BENCH_PR*.json files are checked-in baselines; benchsmoke gates against
+# the newest.
 bench:
 	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|SweepEngines|BytecodeLowering|TraceReplay' \
 		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench | tee bench.out
-	$(GO) test -run='^$$' -bench='^BenchmarkInterpreter$$' -benchmem -count=1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR14.json bench.out
+	$(GO) test -run='^$$' -bench='^Benchmark(Interpreter|Predictors)$$' -benchmem -count=1 . | tee -a bench.out
+	$(GO) run ./cmd/benchjson -o BENCH_PR15.json bench.out
 	rm -f bench.out
 
 figures:

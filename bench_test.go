@@ -218,14 +218,35 @@ func BenchmarkEngineOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictors measures hybrid value-predictor throughput.
+// predictorHits keeps BenchmarkPredictors' results live.
+var predictorHits int64
+
+// BenchmarkPredictors measures hybrid value-predictor throughput and
+// allocation per observation. "stream" feeds one hybrid an affine stream;
+// "fresh-per-64" builds a new hybrid every 64 observations of a period-8
+// stream, the way the engine builds one per observed LCD of each tracked
+// loop, so it carries the hybrid's construction and FCM table cost.
 func BenchmarkPredictors(b *testing.B) {
-	h := predict.NewHybrid()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		h.Observe(uint64(i) * 3)
-	}
-	_ = h.HitRate()
+	b.Run("stream", func(b *testing.B) {
+		b.ReportAllocs()
+		h := predict.NewHybrid()
+		for i := 0; i < b.N; i++ {
+			h.Observe(uint64(i) * 3)
+		}
+		predictorHits, _ = h.Stats()
+	})
+	b.Run("fresh-per-64", func(b *testing.B) {
+		b.ReportAllocs()
+		var h *predict.Hybrid
+		for i := 0; i < b.N; i++ {
+			if i%64 == 0 {
+				h = predict.NewHybrid()
+			}
+			if h.Observe(uint64(i%8) * 1000003) {
+				predictorHits++
+			}
+		}
+	})
 }
 
 // BenchmarkAblationHelixDelta compares the paper's literal HELIX delta

@@ -42,10 +42,18 @@ type LoopMeta struct {
 	// transitively reaches I/O or non-re-entrant library state
 	// (constrains fn2).
 	HasUnsafeOrIOCall bool
+
+	// id is Loop.ID(), computed once when the meta is built.
+	id string
 }
 
-// ID returns the loop's stable identifier.
-func (lm *LoopMeta) ID() string { return lm.Loop.ID() }
+// ID returns the loop's stable identifier, "function:header".
+func (lm *LoopMeta) ID() string {
+	if lm.id == "" { // a meta built outside AnalyzeModule
+		return lm.Loop.ID()
+	}
+	return lm.id
+}
 
 // NumObservedNonComputable returns how many leading entries of Observed are
 // plain non-computable LCDs (the rest are reduction phis).
@@ -189,7 +197,7 @@ func analyzeModule(m *ir.Module, strict bool) (*ModuleInfo, error) {
 }
 
 func buildLoopMeta(l *Loop, pur *Purity) *LoopMeta {
-	lm := &LoopMeta{Loop: l}
+	lm := &LoopMeta{Loop: l, id: l.ID()}
 	lm.SCEV = ComputeSCEV(l)
 	lm.Computable = lm.SCEV.ComputablePhis()
 	lm.Reductions = FindReductions(l, lm.SCEV)

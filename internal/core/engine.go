@@ -123,8 +123,9 @@ type LoopStat struct {
 	// LastSlowest records the slowest iteration of the most recent
 	// tracked instance (diagnostics).
 	LastSlowest int64
-	// preds are the per-observed-LCD value predictors (nil under dep
-	// flags that do not predict).
+	// preds are the per-observed-LCD value predictors, built on the
+	// loop's first tracked entry (nil before it, and under dep flags that
+	// do not predict).
 	preds []predict.Observer
 }
 
@@ -244,21 +245,21 @@ func (e *Engine) newStat(lm *analysis.LoopMeta) *LoopStat {
 	st := &LoopStat{Meta: lm}
 	st.Reason = staticReason(e.cfg, lm)
 	st.StaticallySerial = st.Reason != SerialNone
+	return st
+}
 
-	// Predictors for the constrained observations (dep2 realistic,
-	// dep3 perfect).
-	n := len(lm.Observed)
-	if n > 0 && (e.cfg.Dep == 2 || e.cfg.Dep == 3) {
-		st.preds = make([]predict.Observer, n)
-		for i := range st.preds {
-			if e.cfg.Dep == 3 {
-				st.preds[i] = &predict.Perfect{}
-			} else {
-				st.preds[i] = predict.NewHybrid()
-			}
+// newPreds builds the predictors for a loop's observed LCDs (dep2
+// realistic, dep3 perfect).
+func (e *Engine) newPreds(n int) []predict.Observer {
+	preds := make([]predict.Observer, n)
+	for i := range preds {
+		if e.cfg.Dep == 3 {
+			preds[i] = &predict.Perfect{}
+		} else {
+			preds[i] = predict.NewHybrid()
 		}
 	}
-	return st
+	return preds
 }
 
 // statOf resolves the stat record for a meta: one slice index on the hot
@@ -338,7 +339,13 @@ func (e *Engine) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
 		inst.liveIdx = len(e.live)
 		e.live = append(e.live, inst)
 		// Train predictors on the live-in values (iteration 0 values
-		// are available at entry; no prediction needed for them).
+		// are available at entry; no prediction needed for them). A
+		// loop's predictors are built on its first tracked entry, so
+		// loops that are never tracked, statically serial ones
+		// included, never build any.
+		if st.preds == nil && e.plan.initLive && len(lm.Observed) > 0 {
+			st.preds = e.newPreds(len(lm.Observed))
+		}
 		if st.preds != nil {
 			for k, v := range init {
 				st.preds[k].Observe(v.Bits())

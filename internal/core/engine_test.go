@@ -1,11 +1,13 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/interp"
 	"loopapalooza/internal/ir"
+	"loopapalooza/internal/predict"
 )
 
 // fakeMeta builds a minimal canonical loop record so engine cost semantics
@@ -335,6 +337,93 @@ func TestStaticPremarks(t *testing.T) {
 		e := NewEngine(info, c.cfg)
 		if got := e.Stats()[lm].Reason; got != c.want {
 			t.Errorf("%s: reason = %s, want %s", c.cfg, got, c.want)
+		}
+	}
+}
+
+// lazyPredSrc has three loops with a load-dependent register LCD: the
+// first calls a function (statically serial under fn0), the second is
+// never entered, and the third is tracked. The third one's LCD advances
+// by a loaded step, so its predictors hit and its hit rate counts every
+// observation, the live-in value at entry included.
+const lazyPredSrc = `
+var tab [64]int;
+var out [32]int;
+var state [1]int;
+func touch(x int) int { state[0] = x; return x; }
+func main() int {
+	var i int;
+	var x int = 1;
+	for (i = 0; i < 64; i = i + 1) { tab[i] = (i * 7) % 64; }
+	for (i = 0; i < 32; i = i + 1) { x = tab[x % 64] + touch(i); }
+	if (state[0] > 1000) {
+		for (i = 0; i < 32; i = i + 1) { x = tab[x % 64] + i; }
+	}
+	for (i = 0; i < 32; i = i + 1) { out[i] = x; x = x + tab[5]; }
+	return x;
+}`
+
+// TestPredictorsBuiltOnFirstTrackedEntry: under dep2 and dep3 an engine
+// builds predictors only for loops it tracks, so the statically serial
+// loop and the never-entered loop get none. The report is the same as
+// with predictors built for every loop up front.
+func TestPredictorsBuiltOnFirstTrackedEntry(t *testing.T) {
+	info, err := AnalyzeSource("lazy", lazyPredSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config{
+		{Model: PDOALL, Reduc: 1, Dep: 2, Fn: 0},
+		{Model: HELIX, Reduc: 1, Dep: 3, Fn: 0},
+	} {
+		lazy := NewEngine(info, cfg)
+		eager := NewEngine(info, cfg)
+		for lm, st := range eager.Stats() {
+			if n := len(lm.Observed); n > 0 {
+				st.preds = eager.newPreds(n)
+			}
+		}
+		for _, e := range []*Engine{lazy, eager} {
+			if err := interpret(info, RunOptions{}, e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var serial, unentered, tracked int
+		for _, lm := range info.Loops {
+			st := lazy.Stats()[lm]
+			if len(lm.Observed) == 0 {
+				continue
+			}
+			switch {
+			case st.StaticallySerial:
+				serial++
+			case st.Instances == 0:
+				unentered++
+			default:
+				tracked++
+				if len(st.preds) != len(lm.Observed) {
+					t.Errorf("%s: tracked loop %s has %d predictors, want %d", cfg, lm.ID(), len(st.preds), len(lm.Observed))
+				}
+				if h, ok := st.preds[0].(*predict.Hybrid); ok {
+					if c, n := h.Stats(); c == 0 || n != 33 {
+						t.Errorf("%s: tracked loop %s predicted %d of %d values, want hits out of 33 (entry + 32 iterations)",
+							cfg, lm.ID(), c, n)
+					}
+				}
+				continue
+			}
+			if st.preds != nil {
+				t.Errorf("%s: loop %s (instances %d, reason %s) built %d predictors, want none",
+					cfg, lm.ID(), st.Instances, st.Reason, len(st.preds))
+			}
+		}
+		if serial != 1 || unentered != 1 || tracked != 1 {
+			t.Fatalf("%s: statically serial/never entered/tracked loops with LCDs = %d/%d/%d, want 1/1/1",
+				cfg, serial, unentered, tracked)
+		}
+		got, want := lazy.Report("lazy"), eager.Report("lazy")
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: report differs from the one with predictors built up front:\n got %+v\nwant %+v", cfg, got, want)
 		}
 	}
 }

@@ -279,3 +279,26 @@ func main() int {
 		t.Errorf("derived speedup drifted: %v vs %v", back.Speedup(), rep.Speedup())
 	}
 }
+
+// TestReportJSONLoops: a program without loops reports "loops": null,
+// and one with loops an array of them.
+func TestReportJSONLoops(t *testing.T) {
+	for _, tc := range []struct {
+		src, want string
+	}{
+		{"func main() int { return 7; }", `"loops":null`},
+		{"func main() int { var i int; for (i = 0; i < 3; i = i + 1) { } return i; }", `"loops":[{`},
+	} {
+		rep, err := RunSource("noloops", tc.src, BestHELIX(), RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := json.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(string(b), tc.want) {
+			t.Errorf("report JSON lacks %s:\n%s", tc.want, b)
+		}
+	}
+}

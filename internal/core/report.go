@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"loopapalooza/internal/predict"
@@ -101,6 +102,9 @@ func (e *Engine) Report(benchmark string) *Report {
 		Anomalies:    e.anomalies,
 	}
 	metas := e.info.Loops
+	if len(metas) > 0 {
+		r.Loops = make([]LoopReport, 0, len(metas))
+	}
 	for _, lm := range metas {
 		st := e.stats[lm]
 		if st == nil {
@@ -158,7 +162,7 @@ func (e *Engine) Report(benchmark string) *Report {
 			r.Census.Add(DepStructural, 1)
 		}
 	}
-	sort.SliceStable(r.Loops, func(i, j int) bool { return r.Loops[i].SerialTicks > r.Loops[j].SerialTicks })
+	slices.SortStableFunc(r.Loops, func(a, b LoopReport) int { return cmp.Compare(b.SerialTicks, a.SerialTicks) })
 	return r
 }
 

@@ -21,9 +21,10 @@ import (
 // microseconds and runs within a tight step budget; large enough to build
 // nests the analysis pipeline finds interesting.
 const (
-	maxLoopDepth = 3 // nesting depth of generated loop nests
-	maxBodyLen   = 4 // statements per block
-	maxExprDepth = 3 // expression tree depth
+	maxLoopDepth  = 3  // nesting depth of generated loop nests
+	maxBlockDepth = 16 // block nesting depth, far below the parser's limit
+	maxBodyLen    = 4  // statements per block
+	maxExprDepth  = 3  // expression tree depth
 )
 
 // arrayLen is the length of the generated global arrays. A power of two, so
@@ -100,6 +101,9 @@ func (g *gen) stmt(depth, loopDepth int) {
 	choice := g.pick(8)
 	if loopDepth >= maxLoopDepth && choice < 2 {
 		choice += 2 // out of loop budget: degrade to a straight-line form
+	}
+	if depth >= maxBlockDepth && (choice < 2 || choice == 5) {
+		choice = 2 // out of nesting budget: a straight-line store
 	}
 	switch choice {
 	case 0: // counted for loop

@@ -36,6 +36,21 @@ func TestProgramCompiles(t *testing.T) {
 	}
 }
 
+// TestProgramNestingBounded: a seed that picks a conditional at every
+// decision still yields a program within the parser's nesting limit.
+func TestProgramNestingBounded(t *testing.T) {
+	for _, b := range []byte{5, 0xbd} {
+		seed := make([]byte, 4096)
+		for i := range seed {
+			seed[i] = b
+		}
+		src := Program(seed)
+		if _, err := lang.Compile("gen.lpc", src); err != nil {
+			t.Errorf("seed of %#x bytes: generated program does not compile: %v", b, err)
+		}
+	}
+}
+
 // TestProgramDeterministic: same seed, same program — crashers reproduce.
 func TestProgramDeterministic(t *testing.T) {
 	seed := []byte{9, 42, 7, 0, 255, 13}

@@ -1,6 +1,7 @@
 package predict
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -188,5 +189,170 @@ func TestStrideAffineProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// refFCM is the flat-table FCM the sparse one replaced: every one of the
+// 4,096 contexts has a slot from construction on. It is the reference the
+// differential tests compare FCM against.
+type refFCM struct {
+	hist  [fcmOrder]uint64
+	n     int
+	table [fcmContexts]struct {
+		value uint64
+		valid bool
+	}
+}
+
+func (p *refFCM) index() uint64 {
+	h := uint64(14695981039346656037)
+	for _, v := range p.hist {
+		h ^= v
+		h *= 1099511628211
+	}
+	return h & (fcmContexts - 1)
+}
+
+func (p *refFCM) Predict() (uint64, bool) {
+	if p.n < fcmOrder {
+		return 0, false
+	}
+	e := p.table[p.index()]
+	return e.value, e.valid
+}
+
+func (p *refFCM) Train(v uint64) {
+	if p.n >= fcmOrder {
+		e := &p.table[p.index()]
+		e.value, e.valid = v, true
+	}
+	copy(p.hist[:], p.hist[1:])
+	p.hist[fcmOrder-1] = v
+	if p.n < fcmOrder {
+		p.n++
+	}
+}
+
+// fcmAgrees feeds seq to a fresh FCM and the reference, comparing their
+// predictions before every step, and returns the FCM for inspection.
+func fcmAgrees(t testing.TB, seq []uint64) *FCM {
+	t.Helper()
+	p, ref := &FCM{}, &refFCM{}
+	for i, v := range seq {
+		got, gotOK := p.Predict()
+		want, wantOK := ref.Predict()
+		if got != want || gotOK != wantOK {
+			t.Fatalf("step %d of %d (%d contexts written): Predict = %d,%v, reference %d,%v",
+				i, len(seq), p.used, got, gotOK, want, wantOK)
+		}
+		p.Train(v)
+		ref.Train(v)
+	}
+	return p
+}
+
+// xorshift returns n pseudo-random values from a fixed seed.
+func xorshift(n int) []uint64 {
+	x := uint64(0x9E3779B97F4A7C15)
+	seq := make([]uint64, n)
+	for i := range seq {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		seq[i] = x
+	}
+	return seq
+}
+
+// TestFCMDifferentialQuick: on arbitrary sequences, FCM predicts exactly
+// what the flat-table reference predicts at every step.
+func TestFCMDifferentialQuick(t *testing.T) {
+	f := func(seq []uint64) bool {
+		fcmAgrees(t, seq)
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestFCMDifferentialPeriodic: periodic sequences of random values, of
+// every period from 1 to 5,000, two periods and a context long. Distinct
+// histories outnumber the contexts they hash to from a few hundred values
+// on, so contexts collide and the last writer must win in both tables;
+// from about 3,000 on, more than half the contexts are written and the
+// table turns dense mid-sequence.
+func TestFCMDifferentialPeriodic(t *testing.T) {
+	const maxPeriod = 5000
+	vals := xorshift(maxPeriod)
+	seq := make([]uint64, 0, 2*maxPeriod+fcmOrder)
+	dense := 0
+	for period := 1; period <= maxPeriod; period++ {
+		seq = seq[:0]
+		for i := 0; i < 2*period+fcmOrder; i++ {
+			seq = append(seq, vals[i%period])
+		}
+		if fcmAgrees(t, seq).valid != nil {
+			dense++
+		}
+	}
+	if dense < 1000 {
+		t.Errorf("%d periodic sequences turned the table dense, want at least 1000", dense)
+	}
+}
+
+// TestFCMDifferentialDense: a random stream writes more than half of the
+// contexts, so FCM must switch to dense storage and keep agreeing.
+func TestFCMDifferentialDense(t *testing.T) {
+	p := fcmAgrees(t, xorshift(20000))
+	if p.valid == nil || p.used <= fcmContexts/2 {
+		t.Errorf("after 20,000 random values: %d contexts written, dense %v; want more than %d and dense",
+			p.used, p.valid != nil, fcmContexts/2)
+	}
+}
+
+// FuzzFCMDifferential checks FCM against the flat-table reference on
+// fuzzed streams. The first byte sets a warm-up of up to 4,080 random
+// values, enough to reach dense storage; every later byte is one value
+// from a 16-letter alphabet, so contexts repeat and predictions hit.
+func FuzzFCMDifferential(f *testing.F) {
+	f.Add([]byte{0, 1, 2, 3, 4, 1, 2, 3, 4, 1, 2, 3, 4})
+	f.Add([]byte{200, 5, 5, 5, 5, 5, 6, 5, 5, 5, 5, 6})
+	f.Add([]byte{255, 0, 1, 0, 1, 0, 1, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		seq := xorshift(16 * int(data[0]))
+		for _, b := range data[1:] {
+			seq = append(seq, uint64(b%16)*0x9E3779B97F4A7C15)
+		}
+		fcmAgrees(t, seq)
+	})
+}
+
+// hybridSink keeps TestHybridAllocation's hybrid on the heap, as the
+// engine's hybrids are.
+var hybridSink *Hybrid
+
+// TestHybridAllocation: a hybrid that sees a short periodic stream, as a
+// loop's predictor usually does, allocates its FCM contexts sparsely
+// instead of a 64 KiB table.
+func TestHybridAllocation(t *testing.T) {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	hybridSink = NewHybrid()
+	for i := 0; i < 256; i++ {
+		hybridSink.Observe(uint64(i%8) * 1000003)
+	}
+	runtime.ReadMemStats(&ms)
+	grew := ms.TotalAlloc - before
+	if c, total := hybridSink.Stats(); c == 0 || total != 256 {
+		t.Fatalf("stats = %d/%d, want hits out of 256", c, total)
+	}
+	t.Logf("NewHybrid plus 256 observations allocated %d bytes", grew)
+	if grew >= 4<<10 {
+		t.Errorf("NewHybrid plus 256 observations allocated %d bytes, want < 4096", grew)
 	}
 }

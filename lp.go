@@ -96,7 +96,7 @@ type RunOptions = core.RunOptions
 // limit-study engine.
 type TrackerKind = core.TrackerKind
 
-// The dependence trackers. TrackerShadow — flat generation-stamped shadow
+// The dependence trackers. TrackerShadow — paged generation-stamped shadow
 // memory — is the production default (and the zero value). TrackerLegacyMap
 // is the original per-instance hash-map tracker, kept as a differential
 // oracle: both produce bit-identical Reports.
