@@ -67,14 +67,16 @@ benchsmoke:
 	@rm -f benchsmoke.out
 
 # The fan-out differential oracles under both a single-core and the
-# default scheduler: GOMAXPROCS sets the auto worker count (Parallelism 0
-# resolves to one worker, replaying every engine inline, under
-# GOMAXPROCS=1, and to the class-affinity worker pool otherwise), so both
-# legs must produce bit-identical reports. `make test`/`make race` already
-# cover the default; the GOMAXPROCS=1 leg pins the inline path explicitly.
-# TestShadowPageRecycling runs MultiRun and ReplayTraceMulti from four
-# goroutines at once, so both legs also check reports while shadow pages
-# move between concurrent runs.
+# default scheduler, which must produce bit-identical reports. GOMAXPROCS
+# does not set the auto width alone: Parallelism 0 shares GOMAXPROCS
+# among the MultiRun calls in flight, so a concurrent sweep's width-0
+# runs mostly replay inline on any box. The oracles' explicit widths
+# {2, NumCPU, 64} are what keep the class-affinity pool covered, and
+# both legs run them under a different scheduler. `make test`/`make
+# race` already cover the default. TestShadowPageRecycling runs MultiRun
+# (widths 0, 1 and 2) and ReplayTraceMulti from four goroutines at once,
+# so both legs also check reports while shadow pages move between
+# concurrent runs, and width-0 runs resolve beside other runs.
 fanout-oracle:
 	GOMAXPROCS=1 $(GO) test -count=1 \
 		-run='TestFanoutDifferentialOracle|TestMultiRun|TestParallelDeterminism|TestFanoutWorkers|TestShadowPageRecycling' \
@@ -132,10 +134,10 @@ vuln:
 
 # Full measurement run: the perf suite (engine hot path, interpreter
 # dispatch, end-to-end sweep; shadow vs legacy-map, bytecode vs treewalk,
-# and parallel vs serial sub-benchmarks, the paper-grid fan-out sweep,
-# trace replay of every kernel with its trace-size census, plus the
-# bytecode compiler's opcode-mix census) and the root interpreter and
-# value-predictor benchmarks, rendered to BENCH_PR15.json with the
+# and parallel vs serial vs auto-width sub-benchmarks, the paper-grid
+# fan-out sweep, trace replay of every kernel with its trace-size census,
+# plus the bytecode compiler's opcode-mix census) and the root interpreter
+# and value-predictor benchmarks, rendered to BENCH_PR16.json with the
 # speedup-ratio tables and the measuring box's CPU count. Earlier
 # BENCH_PR*.json files are checked-in baselines; benchsmoke gates against
 # the newest.
@@ -143,7 +145,7 @@ bench:
 	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|SweepEngines|BytecodeLowering|TraceReplay' \
 		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench | tee bench.out
 	$(GO) test -run='^$$' -bench='^Benchmark(Interpreter|Predictors)$$' -benchmem -count=1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR15.json bench.out
+	$(GO) run ./cmd/benchjson -o BENCH_PR16.json bench.out
 	rm -f bench.out
 
 figures:

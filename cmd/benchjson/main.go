@@ -126,8 +126,9 @@ var seedBaselines = map[string]seedBaseline{
 // -bench` and are injected into the report alongside the parsed lines:
 // the wall time of `./lpbench > /dev/null` (all figures), the median of
 // ten alternated pairs of `-parallel 1` (/serial) and `-parallel 0`
-// (/parallel, one pool worker per CPU) on a 2-CPU box; the unsuffixed
-// row is the default width.
+// (/parallel) on a 2-CPU box, taken when width 0 still meant one pool
+// worker per CPU in every run, as `-parallel 2` does there now; the
+// unsuffixed row is the default width of that time.
 var extraCurrent = map[string]map[string]float64{
 	"lpbench-all-figures":          {"sec/run": 0.646},
 	"lpbench-all-figures/serial":   {"sec/run": 0.648},

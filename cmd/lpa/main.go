@@ -55,7 +55,7 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "wall-clock budget (0 = none)")
 	memLimit := flag.Int64("mem-limit", 0, "heap budget in 64-bit cells (0 = default)")
 	engineFlag := flag.String("engine", "bytecode", "execution engine: bytecode or treewalk (oracle)")
-	parallel := flag.Int("parallel", 0, "fan-out worker pool width for -all (0 = one worker per CPU, 1 = serial; reports are bit-identical at every width)")
+	parallel := flag.Int("parallel", 0, "fan-out worker pool width for -all (0 = share GOMAXPROCS among the runs in flight, 1 = serial; reports are bit-identical at every width)")
 	flag.Parse()
 
 	engine, err := core.ParseEngineKind(*engineFlag)

@@ -29,11 +29,13 @@
 //
 // Every benchmark is interpreted ONCE per sweep and its event stream is
 // fanned out, as sealed chunks, to all configurations' engines. -parallel
-// sets the width: 0 (the default) shards the engines across one worker
-// per CPU, 1 replays them inline. Reports are bit-identical to per-cell
-// runs at every width. -trace-dir additionally records each execution as
-// a replayable .lptrace file; a stats footer on stderr counts the
-// executions saved and prints the resolved worker count.
+// sets the width: 0 (the default) shares GOMAXPROCS among the executions
+// in flight — the harness already runs one per CPU, so a saturated sweep
+// replays each execution's engines inline — and 1 always replays them
+// inline. Reports are bit-identical to per-cell runs at every width.
+// -trace-dir additionally records each execution as a replayable
+// .lptrace file; a stats footer on stderr counts the executions saved
+// and prints the worker width (p=auto(≤N) at width 0).
 //
 // Profiling:
 //
@@ -69,7 +71,7 @@ func run() int {
 	keepGoing := flag.Bool("keep-going", true, "render figures over surviving cells instead of aborting on the first failure")
 	tracker := flag.String("tracker", "shadow", "dependence tracker: shadow or legacy-map (oracle)")
 	engineFlag := flag.String("engine", "bytecode", "execution engine: bytecode or treewalk (oracle)")
-	parallel := flag.Int("parallel", 0, "fan-out worker pool width per execution (0 = one worker per CPU, 1 = serial; reports are bit-identical at every width)")
+	parallel := flag.Int("parallel", 0, "fan-out worker pool width per execution (0 = share GOMAXPROCS among the runs in flight, 1 = serial; reports are bit-identical at every width)")
 	traceDir := flag.String("trace-dir", "", "record each benchmark execution's event trace into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -142,8 +144,8 @@ func run() int {
 	})
 	defer func() {
 		if st := h.Stats(); st.Executions > 0 {
-			fmt.Fprintf(os.Stderr, "lpbench: %d execution(s) under the %s engine served %d cell(s), %d saved by fan-out (workers p=%d)",
-				st.Executions, engine, st.Cells, st.Saved, core.ResolveParallelism(*parallel))
+			fmt.Fprintf(os.Stderr, "lpbench: %d execution(s) under the %s engine served %d cell(s), %d saved by fan-out (workers %s)",
+				st.Executions, engine, st.Cells, st.Saved, workersLabel(*parallel))
 			if st.Traces > 0 {
 				fmt.Fprintf(os.Stderr, ", %d trace(s) recorded to %s", st.Traces, *traceDir)
 			}
@@ -172,6 +174,16 @@ func run() int {
 	default:
 		return runFigures(h, *figure, *keepGoing)
 	}
+}
+
+// workersLabel renders the -parallel width for the stats footer: an
+// explicit width as p=N, and width 0 as p=auto(≤N), since an auto run's
+// width depends on the runs in flight beside it and N is only the widest.
+func workersLabel(parallel int) string {
+	if parallel <= 0 {
+		return fmt.Sprintf("p=auto(≤%d)", core.ResolveParallelism(0))
+	}
+	return fmt.Sprintf("p=%d", parallel)
 }
 
 // partialCode returns 3 when any cell failed, mirroring the figure path's

@@ -126,7 +126,7 @@ func main() {
 		"graceful-shutdown window; on expiry in-flight cells are released back to the queue as canceled")
 	flag.StringVar(&cfg.engine, "engine", "bytecode", "execution engine: bytecode or treewalk (oracle)")
 	flag.IntVar(&cfg.parallel, "parallel", 0,
-		"fan-out worker pool width per sweep (0 = one worker per CPU, 1 = serial; reports are bit-identical at every width)")
+		"fan-out worker pool width per sweep (0 = share GOMAXPROCS among the runs in flight, 1 = serial; reports are bit-identical at every width)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "",
 		"durable state root: <dir>/wal journals the coordinator for crash recovery, <dir>/traces holds the checksummed trace store (\"\" = in-memory only)")
 	flag.DurationVar(&cfg.scrubInterval, "scrub-interval", 0,

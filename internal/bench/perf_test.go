@@ -80,12 +80,16 @@ func BenchmarkSweepFanout(b *testing.B) {
 
 // BenchmarkSweepParallel measures the cross-core worker pool against
 // inline replay on the same run-once sweep: the full paper-grid sweep of
-// the EEMBC suite at Parallelism 1 (every engine replayed on the
-// interpreting goroutine) versus one pool worker per CPU (engine classes
-// sharded by class affinity, all reading the shared span summaries).
-// Reports are bit-identical at every width — the differential oracles pin
-// that — so this pair isolates the multi-core scaling win
-// (BENCH_PR12.json's parallel_vs_serial table).
+// the EEMBC suite, through a harness running one program per CPU, at
+// Parallelism 1 (every engine replayed on the interpreting goroutine)
+// versus one pool worker per CPU in every run (engine classes sharded by
+// class affinity, all reading the shared span summaries), and at the
+// default Parallelism 0, which shares GOMAXPROCS among the runs in flight
+// and so replays mostly inline while the harness keeps every CPU busy.
+// Reports are bit-identical at every width — the differential oracles
+// pin that — so serial/parallel isolates the multi-core scaling win
+// (BENCH_PR12.json's parallel_vs_serial table) and auto records what the
+// default costs next to both.
 func BenchmarkSweepParallel(b *testing.B) {
 	benches := BySuite(SuiteEEMBC)
 	if len(benches) == 0 {
@@ -100,7 +104,7 @@ func BenchmarkSweepParallel(b *testing.B) {
 	for _, mode := range []struct {
 		name string
 		p    int
-	}{{"serial", 1}, {"parallel", runtime.NumCPU()}} {
+	}{{"serial", 1}, {"parallel", runtime.NumCPU()}, {"auto", 0}} {
 		b.Run(mode.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

@@ -22,7 +22,11 @@ package core
 // batched memRun method (Engine.replayChunkBatched).
 //
 // The worker count w = min(Parallelism resolved, coalesced classes) is
-// the only setting, and it is 1 below FanoutThreshold configurations:
+// the only setting, and it is 1 below FanoutThreshold configurations.
+// Parallelism 0 resolves at run start to GOMAXPROCS shared among the
+// MultiRun calls then in flight: a lone run gets every CPU, and a sweep
+// that already runs programs concurrently does not pay for parallelism a
+// second time inside each run.
 //
 //   - w == 1: each full chunk replays inline, on the interpreting
 //     goroutine, into every engine; the one chunk is reused for the whole
@@ -62,8 +66,10 @@ import (
 // engines the per-chunk handoff costs more than the engine work it moves.
 const FanoutThreshold = 4
 
-// ResolveParallelism maps RunOptions.Parallelism to the worker-pool width
-// MultiRun asks for: 0 (auto) means one worker per available CPU.
+// ResolveParallelism maps RunOptions.Parallelism to the widest worker-pool
+// width MultiRun asks for: 0 (auto) means one worker per available CPU,
+// the width a lone run gets. While other runs are in flight, an auto
+// run's width is narrower (see fanoutWorkers).
 func ResolveParallelism(p int) int {
 	if p <= 0 {
 		return runtime.GOMAXPROCS(0)
@@ -71,14 +77,27 @@ func ResolveParallelism(p int) int {
 	return p
 }
 
-// fanoutWorkers is the worker count of one MultiRun: the resolved
-// Parallelism clamped to the number of coalesced engine classes, and 1
-// below FanoutThreshold configurations.
-func fanoutWorkers(nCfgs, nClasses, parallelism int) int {
+// multiRunsInFlight counts the MultiRun calls executing in this process.
+// It is coordination state, like shadowGen and the page pool, not a
+// setting: the callers that nest parallelism (bench.Harness workers,
+// serve sweeps, cluster workers, concurrent library users) share nothing
+// but the process.
+var multiRunsInFlight atomic.Int32
+
+// fanoutWorkers is the worker count of one MultiRun, given the MultiRun
+// calls in flight, itself included. Parallelism 0 shares GOMAXPROCS among
+// them: max(1, GOMAXPROCS ÷ inFlight). The width is then clamped to the
+// number of coalesced engine classes, and is 1 below FanoutThreshold
+// configurations. Explicit widths ignore inFlight.
+func fanoutWorkers(nCfgs, nClasses, parallelism, inFlight int) int {
 	if nCfgs < FanoutThreshold {
 		return 1
 	}
-	return max(1, min(ResolveParallelism(parallelism), nClasses))
+	w := ResolveParallelism(parallelism)
+	if parallelism <= 0 {
+		w /= max(1, inFlight)
+	}
+	return max(1, min(w, nClasses))
 }
 
 // evKind tags one loop-event record or one replay-plan span.
@@ -512,6 +531,8 @@ func affinityGroups[T any](items []T, workers int) [][]T {
 // every configuration, exactly as N identical executions would each have
 // failed.
 func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps []*Report, err error) {
+	inFlight := int(multiRunsInFlight.Add(1))
+	defer multiRunsInFlight.Add(-1)
 	var pool *workerPool // set while workers run
 	defer func() {
 		if r := recover(); r != nil {
@@ -527,7 +548,7 @@ func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps [
 		return nil, err
 	}
 	var t *chunkTee
-	if w := fanoutWorkers(len(cfgs), len(set.engines), opts.Parallelism); w == 1 {
+	if w := fanoutWorkers(len(cfgs), len(set.engines), opts.Parallelism, inFlight); w == 1 {
 		t = inlineTee(set.engines)
 	} else {
 		groups := affinityGroups(set.engines, w)

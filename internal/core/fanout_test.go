@@ -31,8 +31,8 @@ var fanoutSamples = map[string]string{
 
 // multiWidths pins MultiRun's worker count: 1 (every engine replayed
 // inline on the interpreting goroutine), 2 (classes split across two
-// workers), NumCPU (the auto width), and 64, which exceeds the class
-// count and so gives one worker per class.
+// workers), NumCPU (a lone run's auto width), and 64, which exceeds the
+// class count and so gives one worker per class.
 var multiWidths = map[string]int{
 	"p1":   1,
 	"p2":   2,
@@ -71,6 +71,7 @@ func TestMultiRunBitIdentical(t *testing.T) {
 			}
 		}
 	}
+	noRunsInFlight(t)
 }
 
 // TestMultiRunAutoSelect exercises MultiRun's default width on both sides
@@ -99,6 +100,7 @@ func TestMultiRunAutoSelect(t *testing.T) {
 			}
 		}
 	}
+	noRunsInFlight(t)
 }
 
 // TestMultiRunEmptyAndInvalid: zero configurations execute once and return
@@ -119,6 +121,7 @@ func TestMultiRunEmptyAndInvalid(t *testing.T) {
 			t.Errorf("%s: invalid config accepted", width)
 		}
 	}
+	noRunsInFlight(t)
 }
 
 // TestMultiRunExecutionError: a budget trip surfaces once, classified
@@ -135,6 +138,7 @@ func TestMultiRunExecutionError(t *testing.T) {
 			t.Errorf("%s: err = %v, want ErrStepLimit", width, err)
 		}
 	}
+	noRunsInFlight(t)
 }
 
 // failWriter fails after n bytes, exercising the sticky trace-error path.
@@ -168,6 +172,7 @@ func TestMultiRunTraceWriteFailure(t *testing.T) {
 		!strings.Contains(err.Error(), "writing trace") {
 		t.Errorf("Run: err = %v, want trace write failure", err)
 	}
+	noRunsInFlight(t)
 }
 
 // eventLog records every hook event in a retained, comparable form. Ticks
@@ -474,6 +479,16 @@ func TestReplayChunkPayloadAliasing(t *testing.T) {
 	}
 }
 
+// traceHeavySrc records a trace that outgrows the trace writer's buffer,
+// so the writer's first write happens mid-run.
+const traceHeavySrc = `
+func main() int {
+	var a [64]int;
+	var s int = 0;
+	for (var i int = 0; i < 20000; i = i + 1) { a[i % 64] = i; s = s + a[(i + 1) % 64]; }
+	return s;
+}`
+
 // panicWriter is a trace sink that panics on its first write.
 type panicWriter struct{}
 
@@ -484,13 +499,7 @@ func (panicWriter) Write([]byte) (int, error) { panic("sink bug") }
 // surfaces as a typed *PanicError at every width, and a pooled run's
 // workers exit instead of leaking.
 func TestMultiRunProducerPanic(t *testing.T) {
-	info, err := AnalyzeSource("sinkpanic", `
-func main() int {
-	var a [64]int;
-	var s int = 0;
-	for (var i int = 0; i < 20000; i = i + 1) { a[i % 64] = i; s = s + a[(i + 1) % 64]; }
-	return s;
-}`)
+	info, err := AnalyzeSource("sinkpanic", traceHeavySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,4 +517,5 @@ func main() int {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	noRunsInFlight(t)
 }

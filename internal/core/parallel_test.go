@@ -1,11 +1,11 @@
 package core
 
-// Tests for the class-affinity worker pool: worker-count resolution,
-// bit-identical determinism across worker counts and shuffled
-// chunk-arrival timing, concurrent read-only sharing of one
-// chunk's span summaries (the -race gate of the precomputation pass),
-// shadow pages recycled across concurrent runs, and the memRun summary
-// contract.
+// Tests for the class-affinity worker pool: worker-count resolution and
+// the auto width shared among the runs in flight, bit-identical
+// determinism across worker counts and shuffled chunk-arrival timing,
+// concurrent read-only sharing of one chunk's span summaries (the -race
+// gate of the precomputation pass), shadow pages recycled across
+// concurrent runs, and the memRun summary contract.
 
 import (
 	"bytes"
@@ -22,8 +22,9 @@ import (
 )
 
 // TestFanoutWorkers pins MultiRun's worker-count resolution: the auto
-// width, the clamp to the coalesced class count, and the single worker
-// below FanoutThreshold configurations.
+// width shared among the runs in flight, the clamp to the coalesced class
+// count, explicit widths that ignore the runs in flight, and the single
+// worker below FanoutThreshold configurations.
 func TestFanoutWorkers(t *testing.T) {
 	ncpu := runtime.GOMAXPROCS(0)
 	if got := ResolveParallelism(0); got != ncpu {
@@ -32,23 +33,112 @@ func TestFanoutWorkers(t *testing.T) {
 	if got := ResolveParallelism(3); got != 3 {
 		t.Errorf("ResolveParallelism(3) = %d, want 3", got)
 	}
-	cases := []struct {
-		name                      string
-		nCfgs, nClasses, parallel int
-		want                      int
-	}{
-		{"below-threshold", FanoutThreshold - 1, 3, 8, 1},
-		{"pinned-serial", 14, 10, 1, 1},
-		{"pinned-width", 14, 10, 4, 4},
-		{"clamped-to-classes", 14, 3, 64, 3},
-		{"auto", 14, 64, 0, ncpu},
-		{"no-engines", FanoutThreshold, 0, 4, 1},
-	}
-	for _, c := range cases {
-		if got := fanoutWorkers(c.nCfgs, c.nClasses, c.parallel); got != c.want {
-			t.Errorf("%s: fanoutWorkers(%d, %d, %d) = %d, want %d",
-				c.name, c.nCfgs, c.nClasses, c.parallel, got, c.want)
+	check := func(t *testing.T, cases []fanoutCase) {
+		t.Helper()
+		for _, c := range cases {
+			if got := fanoutWorkers(c.nCfgs, c.nClasses, c.parallel, c.inFlight); got != c.want {
+				t.Errorf("%s: fanoutWorkers(%d, %d, %d, %d) = %d, want %d",
+					c.name, c.nCfgs, c.nClasses, c.parallel, c.inFlight, got, c.want)
+			}
 		}
+	}
+	check(t, []fanoutCase{
+		{"below-threshold", FanoutThreshold - 1, 3, 8, 1, 1},
+		{"pinned-serial", 14, 10, 1, 1, 1},
+		{"pinned-width", 14, 10, 4, 1, 4},
+		{"pinned-width-ignores-in-flight", 14, 10, 4, 64, 4},
+		{"pinned-serial-ignores-in-flight", 14, 10, 1, 64, 1},
+		{"clamped-to-classes", 14, 3, 64, 1, 3},
+		{"auto-lone", 14, 64, 0, 1, ncpu},
+		{"auto-lone-clamped", 14, 3, 0, 1, min(ncpu, 3)},
+		{"auto-saturated", 14, 64, 0, ncpu, 1},
+		{"auto-oversubscribed", 14, 64, 0, ncpu + 1, 1},
+		{"no-engines", FanoutThreshold, 0, 4, 1, 1},
+	})
+
+	// The same resolution at a fixed GOMAXPROCS, so a lone auto run is
+	// seen to get more than one worker even on a one-CPU box.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	check(t, []fanoutCase{
+		{"gomaxprocs4-lone", 14, 64, 0, 1, 4},
+		{"gomaxprocs4-two-in-flight", 14, 64, 0, 2, 2},
+		{"gomaxprocs4-three-in-flight", 14, 64, 0, 3, 1},
+		{"gomaxprocs4-saturated", 14, 64, 0, 4, 1},
+		{"gomaxprocs4-pinned", 14, 64, 3, 4, 3},
+	})
+}
+
+// fanoutCase is one row of TestFanoutWorkers: fanoutWorkers' arguments,
+// the MultiRun calls in flight included, and the width it must return.
+type fanoutCase struct {
+	name                                string
+	nCfgs, nClasses, parallel, inFlight int
+	want                                int
+}
+
+// workerProbe is a trace sink that counts the fan-out pool's worker
+// goroutines at its first write, which the trace writer makes mid-run
+// once its buffer fills: by then a pooled MultiRun has started its
+// workers, and they run until the run ends.
+type workerProbe struct{ workers int }
+
+func (p *workerProbe) Write(b []byte) (int, error) {
+	if p.workers < 0 {
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		p.workers = bytes.Count(stacks, []byte("(*workerPool).work("))
+	}
+	return len(b), nil
+}
+
+// TestMultiRunSharesAutoWidth drives the count through MultiRun itself: a
+// lone width-0 run starts a pool worker per CPU (clamped to its classes),
+// while a width-0 run that starts with GOMAXPROCS other runs in flight
+// replays inline and starts none. An explicit width keeps its pool.
+func TestMultiRunSharesAutoWidth(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	info, err := AnalyzeSource("share", traceHeavySrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := PaperConfigs()
+	set, err := prepareEngines(info, cfgs, TrackerShadow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	classes := len(set.engines)
+	set.release()
+	workers := func(p int) int {
+		t.Helper()
+		probe := workerProbe{workers: -1}
+		if _, err := MultiRun(info, cfgs, RunOptions{Parallelism: p, Trace: &probe}); err != nil {
+			t.Fatal(err)
+		}
+		if probe.workers < 0 {
+			t.Fatal("the trace writer never wrote mid-run")
+		}
+		return probe.workers
+	}
+	if got, want := workers(0), min(4, classes); got != want || got < 2 {
+		t.Errorf("lone width-0 run started %d pool workers, want %d", got, want)
+	}
+	multiRunsInFlight.Add(4) // four other runs in flight
+	defer multiRunsInFlight.Add(-4)
+	if got := workers(0); got != 0 {
+		t.Errorf("width-0 run among 4 in flight started %d pool workers, want 0 (inline)", got)
+	}
+	if got, want := workers(2), min(2, classes); got != want {
+		t.Errorf("width-2 run among 4 in flight started %d pool workers, want %d", got, want)
+	}
+}
+
+// noRunsInFlight fails the test unless every MultiRun it started has
+// given back its in-flight slot: a leaked slot would quietly narrow the
+// auto width of every later run in the process.
+func noRunsInFlight(t *testing.T) {
+	t.Helper()
+	if n := multiRunsInFlight.Load(); n != 0 {
+		t.Errorf("%d MultiRun calls still counted in flight, want 0", n)
 	}
 }
 
@@ -253,8 +343,9 @@ func TestSpanSummarySharedRace(t *testing.T) {
 // goroutines at once, for several rounds over the fanoutSamples programs,
 // so shadow pages one run releases are reused by runs on other goroutines
 // (pool workers included), in other trackers and at other nesting levels.
-// Every report must equal per-configuration Run's. `make race` runs it
-// under the race detector.
+// MultiRun takes widths 0, 1 and 2, so width-0 runs resolve their width
+// while other runs are in flight. Every report must equal
+// per-configuration Run's. `make race` runs it under the race detector.
 func TestShadowPageRecycling(t *testing.T) {
 	cfgs := PaperConfigs()
 	type sample struct {
@@ -286,7 +377,7 @@ func TestShadowPageRecycling(t *testing.T) {
 					var err error
 					how := "MultiRun"
 					if (g+round+k)%2 == 0 {
-						got, err = MultiRun(s.info, cfgs, RunOptions{Parallelism: 1 + (g+round)%2})
+						got, err = MultiRun(s.info, cfgs, RunOptions{Parallelism: (g + round) % 3})
 					} else {
 						how = "ReplayTraceMulti"
 						got, err = ReplayTraceMulti(s.name, s.info, cfgs, RunOptions{}, bytes.NewReader(s.trace))
@@ -305,6 +396,7 @@ func TestShadowPageRecycling(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	noRunsInFlight(t)
 }
 
 // TestMemRunSummaryContract: for spans engineered onto each fast path —

@@ -44,12 +44,14 @@ type RunOptions struct {
 	// fails the run; the resource budgets above are enforced while
 	// recording.
 	Trace io.Writer
-	// Parallelism is MultiRun's fan-out width: 0 (auto) means one worker
-	// per available CPU (GOMAXPROCS), 1 replays every engine on the
-	// interpreting goroutine, larger values are clamped to the number of
-	// coalesced engine classes, and sets below FanoutThreshold
-	// configurations always use one worker. Reports and recorded traces
-	// are bit-identical at every value.
+	// Parallelism is MultiRun's fan-out width: 0 (auto) shares GOMAXPROCS
+	// among the MultiRun calls in flight when the run starts, so a lone
+	// run gets one worker per CPU and a run inside an already saturated
+	// sweep replays inline; 1 replays every engine on the interpreting
+	// goroutine; larger values are used as given. Every width is clamped
+	// to the number of coalesced engine classes, and sets below
+	// FanoutThreshold configurations always use one worker. Reports and
+	// recorded traces are bit-identical at every value.
 	Parallelism int
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"net/http"
 
 	"loopapalooza/internal/bench"
@@ -45,27 +46,41 @@ type JobSubmitResponse struct {
 
 // resolveSelection maps benchmark names and configuration strings to
 // their registered values, defaulting to every kernel and the paper
-// grid. Shared by the synchronous sweep and the async job API.
+// grid. Shared by the synchronous sweep and the async job API. A name or
+// configuration given twice is rejected — configurations compare after
+// parsing, so two spellings of one configuration are a repeat — which
+// bounds a selection at the registered kernels times the valid
+// configurations, however large the request body.
 func (s *Server) resolveSelection(names, cfgStrs []string) ([]*bench.Benchmark, []core.Config, error) {
 	benches := bench.All()
 	if len(names) > 0 {
 		benches = benches[:0:0]
+		seen := make(map[*bench.Benchmark]bool, len(names))
 		for _, name := range names {
 			b := bench.ByName(name)
 			if b == nil {
 				return nil, nil, &selectionError{msg: "unknown benchmark " + name}
 			}
+			if seen[b] {
+				return nil, nil, &selectionError{msg: "benchmark " + name + " selected twice"}
+			}
+			seen[b] = true
 			benches = append(benches, b)
 		}
 	}
 	cfgs := core.PaperConfigs()
 	if len(cfgStrs) > 0 {
 		cfgs = cfgs[:0:0]
+		seen := make(map[core.Config]bool, len(cfgStrs))
 		for _, cs := range cfgStrs {
 			cfg, err := core.ParseConfig(cs)
 			if err != nil {
 				return nil, nil, err
 			}
+			if seen[cfg] {
+				return nil, nil, &selectionError{msg: fmt.Sprintf("configuration %q selected twice (as %s)", cs, cfg)}
+			}
+			seen[cfg] = true
 			cfgs = append(cfgs, cfg)
 		}
 	}

@@ -156,6 +156,45 @@ func TestJobAPIRejections(t *testing.T) {
 	}
 }
 
+// TestSelectionRejectsRepeats: a sweep or job that names a benchmark or
+// a configuration twice is a 400 naming the repeat, and nothing runs.
+// Configurations compare after parsing, so two spellings of one
+// configuration are a repeat. Without the check a small body expands to
+// len(benchmarks) × len(configs) cells before anything runs.
+func TestSelectionRejectsRepeats(t *testing.T) {
+	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{Seed: 1})
+	defer coord.Close()
+	_, ts := newTestServer(t, Options{Cluster: coord})
+
+	for _, c := range []struct {
+		name    string
+		benches []string
+		cfgs    []string
+		want    string
+	}{
+		{"benchmark", []string{"470.lbm", "181.mcf", "470.lbm"}, []string{"reduc0-dep0-fn0 DOALL"}, "470.lbm"},
+		{"configuration", []string{"470.lbm"}, []string{"reduc1-dep1-fn2 HELIX", "helix:REDUC1-dep1-fn2"}, "reduc1-dep1-fn2 HELIX"},
+		{"default-kernels", nil, []string{"reduc0-dep0-fn0 DOALL", "reduc0-dep0-fn0 DOALL"}, "reduc0-dep0-fn0 DOALL"},
+	} {
+		for path, body := range map[string]any{
+			"/v1/sweep": SweepRequest{Benchmarks: c.benches, Configs: c.cfgs},
+			"/v1/jobs":  JobRequest{Benchmarks: c.benches, Configs: c.cfgs},
+		} {
+			status, resp := postJSON(t, ts.URL+path, body)
+			if status != http.StatusBadRequest {
+				t.Errorf("%s %s: status %d, want 400; body %s", path, c.name, status, resp)
+				continue
+			}
+			if er := decodeError(t, resp); !strings.Contains(er.Error, c.want) || !strings.Contains(er.Error, "twice") {
+				t.Errorf("%s %s: error %q does not name the repeated %q", path, c.name, er.Error, c.want)
+			}
+		}
+	}
+	if st := coord.Stats(); st.ActiveJobs+st.DoneJobs != 0 || st.QueueDepth != 0 {
+		t.Errorf("rejected selections reached the coordinator: %+v", st)
+	}
+}
+
 func TestReadyzSplitFromHealthz(t *testing.T) {
 	failing := fmt.Errorf("breaker quarantine")
 	var gate error

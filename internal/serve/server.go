@@ -83,9 +83,10 @@ type Options struct {
 	// label.
 	Engine core.EngineKind
 	// Parallelism bounds the fan-out worker pool of every sweep this
-	// server performs (0 = one worker per CPU, 1 = serial). Reports are
-	// bit-identical at every width. The resolved worker count is exposed
-	// as the lpd_engine_info "fanout" label.
+	// server performs (0 = share GOMAXPROCS among the runs in flight in
+	// the process, 1 = serial). Reports are bit-identical at every width.
+	// The widest width a run can get (GOMAXPROCS at 0) is exposed as the
+	// lpd_engine_info "fanout" label.
 	Parallelism int
 	// Harness is the sweep substrate; nil creates one wired to the
 	// server's default budgets and limiter width.
@@ -225,7 +226,7 @@ func (s *Server) registerMetrics() {
 	s.mSweepCells = s.reg.NewCounter("lpd_sweep_cells_total",
 		"Sweep cells by taxonomy outcome.", "outcome")
 	s.reg.NewGauge("lpd_engine_info",
-		"Execution engine and resolved fan-out worker count of this server (value is always 1).",
+		"Execution engine and widest fan-out worker count of this server; at width 0 the runs in flight share it (value is always 1).",
 		"engine", "fanout").
 		Set(1, s.opts.Engine.String(), fmt.Sprintf("p=%d", core.ResolveParallelism(s.opts.Parallelism)))
 	s.reg.NewCounterFunc("lpd_cache_hits_total",

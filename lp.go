@@ -89,7 +89,10 @@ func Analyze(name, src string) (*ModuleInfo, error) {
 // RunOptions carries the resource budgets and cancellation context of a
 // run: MaxSteps (dynamic instruction budget), Timeout / Ctx (wall-clock
 // and cooperative cancellation), MaxHeapCells (simulated heap budget),
-// and Tracker (dependence-tracking implementation).
+// Tracker (dependence-tracking implementation), and Parallelism
+// (StudyMany's fan-out width: 0 shares GOMAXPROCS among the multi-config
+// runs in flight, 1 replays every configuration on the calling
+// goroutine; reports are bit-identical at every width).
 type RunOptions = core.RunOptions
 
 // TrackerKind selects the dependence-tracking implementation used by the
