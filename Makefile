@@ -66,24 +66,26 @@ benchsmoke:
 	fi
 	@rm -f benchsmoke.out
 
-# The fan-out differential oracles under both a single-core and the
+# The differential matrix (engine x tracker x Run/MultiRun width/replay,
+# internal/core TestDifferentialMatrix) under both a single-core and the
 # default scheduler, which must produce bit-identical reports. GOMAXPROCS
 # does not set the auto width alone: Parallelism 0 shares GOMAXPROCS
 # among the MultiRun calls in flight, so a concurrent sweep's width-0
-# runs mostly replay inline on any box. The oracles' explicit widths
+# runs mostly replay inline on any box. The matrix's explicit widths
 # {2, NumCPU, 64} are what keep the class-affinity pool covered, and
 # both legs run them under a different scheduler. `make test`/`make
-# race` already cover the default. TestShadowPageRecycling runs MultiRun
-# (widths 0, 1 and 2) and ReplayTraceMulti from four goroutines at once,
-# so both legs also check reports while shadow pages move between
-# concurrent runs, and width-0 runs resolve beside other runs.
+# race` already cover the default, and `make cover` runs the matrix's
+# -short leg. TestShadowPageRecycling runs MultiRun (widths 0, 1 and 2)
+# and ReplayTraceMulti from four goroutines at once, so both legs also
+# check reports while shadow pages move between concurrent runs, and
+# width-0 runs resolve beside other runs.
 fanout-oracle:
 	GOMAXPROCS=1 $(GO) test -count=1 \
-		-run='TestFanoutDifferentialOracle|TestMultiRun|TestParallelDeterminism|TestFanoutWorkers|TestShadowPageRecycling' \
-		./internal/core ./internal/bench
+		-run='TestDifferentialMatrix|TestMultiRun|TestFanoutWorkers|TestShadowPageRecycling' \
+		./internal/core
 	$(GO) test -count=1 \
-		-run='TestFanoutDifferentialOracle|TestParallelDeterminism|TestShadowPageRecycling' \
-		./internal/core ./internal/bench
+		-run='TestDifferentialMatrix|TestShadowPageRecycling' \
+		./internal/core
 
 # cmd/lpperf is a nested module (the BENCHMARK.json runner) that the root
 # `go build ./...` never compiles; build and test it against this
@@ -132,20 +134,19 @@ vuln:
 		echo "vuln: govulncheck not installed; skipping (go install golang.org/x/vuln/cmd/govulncheck@latest)"; \
 	fi
 
-# Full measurement run: the perf suite (engine hot path, interpreter
-# dispatch, end-to-end sweep; shadow vs legacy-map, bytecode vs treewalk,
-# and parallel vs serial vs auto-width sub-benchmarks, the paper-grid
-# fan-out sweep, trace replay of every kernel with its trace-size census,
-# plus the bytecode compiler's opcode-mix census) and the root interpreter
-# and value-predictor benchmarks, rendered to BENCH_PR16.json with the
-# speedup-ratio tables and the measuring box's CPU count. Earlier
+# Full measurement run: the perf suite (engine hot path, VM dispatch,
+# end-to-end sweep, parallel vs serial vs auto-width sub-benchmarks, the
+# paper-grid fan-out sweep, trace replay of every kernel with its
+# trace-size census, plus the bytecode compiler's opcode-mix census) and
+# the root VM and value-predictor benchmarks, rendered to BENCH_PR17.json
+# with the speedup-ratio tables and the measuring box's CPU count. Earlier
 # BENCH_PR*.json files are checked-in baselines; benchsmoke gates against
 # the newest.
 bench:
-	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|SweepEngines|BytecodeLowering|TraceReplay' \
+	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|BytecodeLowering|TraceReplay' \
 		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench | tee bench.out
 	$(GO) test -run='^$$' -bench='^Benchmark(Interpreter|Predictors)$$' -benchmem -count=1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR16.json bench.out
+	$(GO) run ./cmd/benchjson -o BENCH_PR17.json bench.out
 	rm -f bench.out
 
 figures:

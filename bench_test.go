@@ -15,6 +15,7 @@ import (
 	lp "loopapalooza"
 	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/bench"
+	"loopapalooza/internal/bytecode"
 	"loopapalooza/internal/core"
 	"loopapalooza/internal/interp"
 	"loopapalooza/internal/lang"
@@ -181,18 +182,23 @@ func BenchmarkFigure5(b *testing.B) {
 	}
 }
 
-// BenchmarkInterpreter measures raw uninstrumented execution throughput.
+// BenchmarkInterpreter measures raw uninstrumented execution throughput of
+// the bytecode VM the way core.Run drives it: the program lowered once,
+// and a fresh VM, globals laid out anew, per run.
 func BenchmarkInterpreter(b *testing.B) {
 	bm := bench.ByName("456.hmmer")
 	info, err := bm.Analyze()
 	if err != nil {
 		b.Fatal(err)
 	}
+	prog, err := bytecode.For(info)
+	if err != nil {
+		b.Fatal(err)
+	}
 	var steps int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in := interp.New(info, interp.Config{})
-		res, err := in.Run("main")
+		res, err := bytecode.NewVM(prog, interp.Config{}).Run("main")
 		if err != nil {
 			b.Fatal(err)
 		}

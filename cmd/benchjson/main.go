@@ -1,17 +1,9 @@
 // Command benchjson converts `go test -bench` output into a
-// machine-readable JSON summary (BENCH_PR13.json). It parses every
+// machine-readable JSON summary (BENCH_PR17.json). It parses every
 // benchmark line, keeps all reported metrics (ns/op, B/op, allocs/op,
 // and custom metrics like instrs/sec or trace-bytes), records the
 // measuring box's CPU count, and derives these ratio tables:
 //
-//   - shadow_vs_legacy: for each benchmark with /shadow and /legacy-map
-//     sub-benchmarks, the legacy÷shadow time ratio and the per-op bytes
-//     saved — the cost of the differential oracle's map tracker relative
-//     to the production shadow memory.
-//   - bytecode_vs_treewalk: for each benchmark with /bytecode and
-//     /treewalk sub-benchmarks, the treewalk÷bytecode time ratio — the
-//     dispatch cost the register-based bytecode VM compiles away
-//     relative to the tree-walking oracle.
 //   - parallel_vs_serial: for each benchmark with /parallel and /serial
 //     sub-benchmarks, the serial÷parallel time ratio — the multi-core
 //     scaling won by sharding engine classes across the class-affinity
@@ -22,7 +14,12 @@
 //
 // BENCH_PR5.json and BENCH_PR9.json preserve the retired
 // fanout_vs_perconfig and batched_vs_perevent tables, whose per-config
-// and per-event modes no longer exist.
+// and per-event modes no longer exist. BENCH_PR2.json through
+// BENCH_PR16.json likewise preserve shadow_vs_legacy (the map tracker's
+// cost against the shadow memory), and BENCH_PR7.json through
+// BENCH_PR16.json bytecode_vs_treewalk (the tree-walker's against the
+// bytecode VM): both reference implementations are test-only now, and the
+// benchmarks no longer time them.
 //
 // It also extracts BenchmarkBytecodeLowering's custom "op/<mnemonic>"
 // metrics into a bytecode_lowering table: the suite-wide static opcode
@@ -46,10 +43,10 @@
 //
 // Usage:
 //
-//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_PR13.json
-//	go run ./cmd/benchjson -o BENCH_PR13.json bench.out
-//	go test -bench=. -benchtime=1x -benchmem ./... | go run ./cmd/benchjson -compare BENCH_PR13.json
-//	go run ./cmd/benchjson -compare BENCH_PR12.json BENCH_PR13.json
+//	go test -bench=. -benchmem ./... | go run ./cmd/benchjson -o BENCH_PR17.json
+//	go run ./cmd/benchjson -o BENCH_PR17.json bench.out
+//	go test -bench=. -benchtime=1x -benchmem ./... | go run ./cmd/benchjson -compare BENCH_PR17.json
+//	go run ./cmd/benchjson -compare BENCH_PR16.json BENCH_PR17.json
 package main
 
 import (
@@ -106,6 +103,8 @@ var seedBaselines = map[string]seedBaseline{
 		current: "BenchmarkSweepSuite/shadow",
 		metrics: map[string]float64{"ns/op": 476.2e6, "B/op": 34.5e6, "allocs/op": 653000},
 	},
+	// The seed timed the tree-walking interpreter; the benchmark now
+	// times the bytecode VM, as core.Run drives it.
 	"BenchmarkInterpreter": {
 		current: "BenchmarkInterpreter",
 		metrics: map[string]float64{"ns/op": 4.64e6},
@@ -142,13 +141,11 @@ type output struct {
 	// from this process when converting `go test` output, carried over
 	// when converting a BENCH_*.json (absent from files before
 	// BENCH_PR13.json).
-	NumCPU             int                         `json:"numCPU,omitempty"`
-	Benchmarks         []Benchmark                 `json:"benchmarks"`
-	ShadowVsLegacy     map[string]map[string]Ratio `json:"shadow_vs_legacy"`
-	BytecodeVsTreewalk map[string]map[string]Ratio `json:"bytecode_vs_treewalk"`
-	ParallelVsSerial   map[string]map[string]Ratio `json:"parallel_vs_serial"`
-	BytecodeLowering   *loweringStats              `json:"bytecode_lowering,omitempty"`
-	SeedVsCurrent      map[string]map[string]Ratio `json:"seed_vs_current"`
+	NumCPU           int                         `json:"numCPU,omitempty"`
+	Benchmarks       []Benchmark                 `json:"benchmarks"`
+	ParallelVsSerial map[string]map[string]Ratio `json:"parallel_vs_serial"`
+	BytecodeLowering *loweringStats              `json:"bytecode_lowering,omitempty"`
+	SeedVsCurrent    map[string]map[string]Ratio `json:"seed_vs_current"`
 }
 
 // loweringStats is the static opcode mix of the bytecode compiler over
@@ -349,32 +346,6 @@ func run() error {
 	}
 	sort.Slice(benches, func(i, j int) bool { return benches[i].Name < benches[j].Name })
 
-	shadowVsLegacy := map[string]map[string]Ratio{}
-	for name, shadow := range byName {
-		root, ok := strings.CutSuffix(name, "/shadow")
-		if !ok {
-			continue
-		}
-		legacy, ok := byName[root+"/legacy-map"]
-		if !ok {
-			continue
-		}
-		shadowVsLegacy[root] = ratios(legacy, shadow)
-	}
-
-	bytecodeVsTreewalk := map[string]map[string]Ratio{}
-	for name, bc := range byName {
-		root, ok := strings.CutSuffix(name, "/bytecode")
-		if !ok {
-			continue
-		}
-		tw, ok := byName[root+"/treewalk"]
-		if !ok {
-			continue
-		}
-		bytecodeVsTreewalk[root] = ratios(tw, bc)
-	}
-
 	parallelVsSerial := map[string]map[string]Ratio{}
 	for name, par := range byName {
 		root, ok := strings.CutSuffix(name, "/parallel")
@@ -414,19 +385,19 @@ func run() error {
 
 	doc := output{
 		Schema: "loopapalooza-bench/v3",
-		Note: "speedup >1 means current/shadow/bytecode/parallel is better; seed " +
+		Note: "speedup >1 means current/parallel is better; seed " +
 			"baselines measured at commit d237949 with identical access patterns, " +
 			"except BenchmarkInterpDispatch (measured at the pre-bytecode-VM commit). " +
+			"BenchmarkInterpreter's seed baseline timed the tree-walker, its current " +
+			"number the bytecode VM. " +
 			"parallel_vs_serial compares Parallelism=NumCPU against Parallelism=1 " +
 			"(inline replay on the interpreting goroutine); its ratio depends on the " +
 			"measuring box's core count.",
-		NumCPU:             numCPU,
-		Benchmarks:         benches,
-		ShadowVsLegacy:     shadowVsLegacy,
-		BytecodeVsTreewalk: bytecodeVsTreewalk,
-		ParallelVsSerial:   parallelVsSerial,
-		BytecodeLowering:   lowering,
-		SeedVsCurrent:      seedVsCurrent,
+		NumCPU:           numCPU,
+		Benchmarks:       benches,
+		ParallelVsSerial: parallelVsSerial,
+		BytecodeLowering: lowering,
+		SeedVsCurrent:    seedVsCurrent,
 	}
 	if *outPath != "" || *comparePath == "" {
 		buf, err := json.MarshalIndent(doc, "", "  ")

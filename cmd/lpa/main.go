@@ -54,20 +54,13 @@ func main() {
 	maxSteps := flag.Int64("max-steps", 0, "dynamic instruction budget (0 = default)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget (0 = none)")
 	memLimit := flag.Int64("mem-limit", 0, "heap budget in 64-bit cells (0 = default)")
-	engineFlag := flag.String("engine", "bytecode", "execution engine: bytecode or treewalk (oracle)")
 	parallel := flag.Int("parallel", 0, "fan-out worker pool width for -all (0 = share GOMAXPROCS among the runs in flight, 1 = serial; reports are bit-identical at every width)")
 	flag.Parse()
 
-	engine, err := core.ParseEngineKind(*engineFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lpa:", err)
-		os.Exit(1)
-	}
 	opts := core.RunOptions{
 		MaxSteps:     *maxSteps,
 		Timeout:      *timeout,
 		MaxHeapCells: *memLimit,
-		Engine:       engine,
 		Parallelism:  *parallel,
 	}
 	os.Exit(runMain(*cfgStr, *all, *dumpIR, *justRun, flag.Arg(0), opts))
@@ -175,15 +168,11 @@ func run(cfgStr string, all, dumpIR, justRun bool, name, src string, opts core.R
 			MaxHeapCells: opts.MaxHeapCells,
 			Deadline:     deadline,
 		}
-		var res interp.Result
-		if opts.Engine == core.EngineTreewalk {
-			res, err = interp.New(info, cfg).Run("main")
-		} else {
-			var prog *bytecode.Program
-			if prog, err = bytecode.For(info); err == nil {
-				res, err = bytecode.NewVM(prog, cfg).Run("main")
-			}
+		prog, err := bytecode.For(info)
+		if err != nil {
+			return err
 		}
+		res, err := bytecode.NewVM(prog, cfg).Run("main")
 		if err != nil {
 			return err
 		}

@@ -25,7 +25,6 @@
 //
 //	lpbench -parallel 1          # replay every engine on the interpreting goroutine
 //	lpbench -trace-dir traces/   # record each execution's binary event trace
-//	lpbench -engine treewalk     # execute on the tree-walking oracle engine
 //
 // Every benchmark is interpreted ONCE per sweep and its event stream is
 // fanned out, as sealed chunks, to all configurations' engines. -parallel
@@ -69,29 +68,11 @@ func run() int {
 	timeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none)")
 	memLimit := flag.Int64("mem-limit", 0, "per-run heap budget in 64-bit cells (0 = default)")
 	keepGoing := flag.Bool("keep-going", true, "render figures over surviving cells instead of aborting on the first failure")
-	tracker := flag.String("tracker", "shadow", "dependence tracker: shadow or legacy-map (oracle)")
-	engineFlag := flag.String("engine", "bytecode", "execution engine: bytecode or treewalk (oracle)")
 	parallel := flag.Int("parallel", 0, "fan-out worker pool width per execution (0 = share GOMAXPROCS among the runs in flight, 1 = serial; reports are bit-identical at every width)")
 	traceDir := flag.String("trace-dir", "", "record each benchmark execution's event trace into this directory")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
-
-	var kind core.TrackerKind
-	switch *tracker {
-	case "shadow":
-		kind = core.TrackerShadow
-	case "legacy-map":
-		kind = core.TrackerLegacyMap
-	default:
-		fmt.Fprintf(os.Stderr, "lpbench: unknown -tracker %q (shadow or legacy-map)\n", *tracker)
-		return 2
-	}
-	engine, err := core.ParseEngineKind(*engineFlag)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "lpbench: %v\n", err)
-		return 2
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -135,8 +116,6 @@ func run() int {
 			MaxSteps:     *maxSteps,
 			Timeout:      *timeout,
 			MaxHeapCells: *memLimit,
-			Tracker:      kind,
-			Engine:       engine,
 			Parallelism:  *parallel,
 		},
 		RetryTransient: true,
@@ -144,8 +123,8 @@ func run() int {
 	})
 	defer func() {
 		if st := h.Stats(); st.Executions > 0 {
-			fmt.Fprintf(os.Stderr, "lpbench: %d execution(s) under the %s engine served %d cell(s), %d saved by fan-out (workers %s)",
-				st.Executions, engine, st.Cells, st.Saved, workersLabel(*parallel))
+			fmt.Fprintf(os.Stderr, "lpbench: %d execution(s) served %d cell(s), %d saved by fan-out (workers %s)",
+				st.Executions, st.Cells, st.Saved, workersLabel(*parallel))
 			if st.Traces > 0 {
 				fmt.Fprintf(os.Stderr, ", %d trace(s) recorded to %s", st.Traces, *traceDir)
 			}

@@ -95,7 +95,6 @@ type config struct {
 	memLimit      int64
 	timeout       time.Duration
 	shutdown      time.Duration
-	engine        string
 	parallel      int
 	dataDir       string
 	scrubInterval time.Duration
@@ -124,7 +123,6 @@ func main() {
 	flag.Int64Var(&cfg.memLimit, "mem-limit", 0, "per-run heap budget in 64-bit cells and cap (0 = interpreter default)")
 	flag.DurationVar(&cfg.shutdown, "shutdown-timeout", 15*time.Second,
 		"graceful-shutdown window; on expiry in-flight cells are released back to the queue as canceled")
-	flag.StringVar(&cfg.engine, "engine", "bytecode", "execution engine: bytecode or treewalk (oracle)")
 	flag.IntVar(&cfg.parallel, "parallel", 0,
 		"fan-out worker pool width per sweep (0 = share GOMAXPROCS among the runs in flight, 1 = serial; reports are bit-identical at every width)")
 	flag.StringVar(&cfg.dataDir, "data-dir", "",
@@ -159,25 +157,7 @@ func run(cfg config) int {
 		}
 		return 0
 	}
-	engine, err := core.ParseEngineKind(cfg.engine)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lpd:", err)
-		return 2
-	}
-	budgets := serve.Budgets{
-		MaxSteps:     cfg.maxSteps,
-		MaxHeapCells: cfg.memLimit,
-		TimeoutMs:    cfg.timeout.Milliseconds(),
-	}
-	opts := serve.Options{
-		DefaultBudgets: budgets,
-		MaxBudgets:     budgets,
-		MaxConcurrent:  cfg.maxConcurrent,
-		CacheEntries:   cfg.cacheEntries,
-		Engine:         engine,
-		Parallelism:    cfg.parallel,
-		Log:            log,
-	}
+	opts := cfg.serveOptions(log)
 	if cfg.dataDir != "" {
 		opts.TraceDir = filepath.Join(cfg.dataDir, "traces")
 		opts.ScrubInterval = cfg.scrubInterval
@@ -206,6 +186,7 @@ func run(cfg config) int {
 			// <data-dir>/wal, recovered on the next start.
 			copts.DataDir = filepath.Join(cfg.dataDir, "wal")
 		}
+		var err error
 		coord, err = cluster.OpenCoordinator(copts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lpd:", err)
@@ -252,14 +233,7 @@ func run(cfg config) int {
 	}
 	var workers []*cluster.Worker
 	addWorker := func(id string, surface cluster.Coordination) int {
-		// Each worker gets its own harness so the fleet honours the
-		// process-level engine and fan-out pool width on every node.
-		harness := bench.NewHarnessWith(bench.HarnessOptions{
-			Run: core.RunOptions{Engine: engine, Parallelism: cfg.parallel},
-		})
-		w, err := cluster.NewWorker(cluster.WorkerOptions{
-			ID: id, Coordinator: surface, Harness: harness, Poll: cfg.poll, Log: log,
-		})
+		w, err := cfg.newWorker(id, surface, log)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "lpd:", err)
 			return 1
@@ -315,7 +289,7 @@ func run(cfg config) int {
 	errc := make(chan error, 1)
 	go func() { errc <- s.ListenAndServe(cfg.addr) }()
 	log.Info("lpd listening", "addr", cfg.addr, "role", cfg.role,
-		"engine", engine.String(), "workers", len(workers), "maxSteps", cfg.maxSteps,
+		"workers", len(workers), "maxSteps", cfg.maxSteps,
 		"timeoutMs", cfg.timeout.Milliseconds(), "memLimit", cfg.memLimit)
 
 	select {
@@ -355,6 +329,41 @@ func run(cfg config) int {
 	}
 	log.Info("lpd stopped")
 	return 0
+}
+
+// serveOptions configures the HTTP service. The process budgets are both
+// every run's defaults and the caps a request can ask for.
+func (cfg config) serveOptions(log *slog.Logger) serve.Options {
+	budgets := serve.Budgets{
+		MaxSteps:     cfg.maxSteps,
+		MaxHeapCells: cfg.memLimit,
+		TimeoutMs:    cfg.timeout.Milliseconds(),
+	}
+	return serve.Options{
+		DefaultBudgets: budgets,
+		MaxBudgets:     budgets,
+		MaxConcurrent:  cfg.maxConcurrent,
+		CacheEntries:   cfg.cacheEntries,
+		Parallelism:    cfg.parallel,
+		Log:            log,
+	}
+}
+
+// newWorker builds one job worker against surface. Each worker gets its
+// own harness, with the process budgets and fan-out width, so a job cell
+// reports what a /v1/sweep of the same cell reports.
+func (cfg config) newWorker(id string, surface cluster.Coordination, log *slog.Logger) (*cluster.Worker, error) {
+	harness := bench.NewHarnessWith(bench.HarnessOptions{
+		Run: core.RunOptions{
+			MaxSteps:     cfg.maxSteps,
+			MaxHeapCells: cfg.memLimit,
+			Timeout:      cfg.timeout,
+			Parallelism:  cfg.parallel,
+		},
+	})
+	return cluster.NewWorker(cluster.WorkerOptions{
+		ID: id, Coordinator: surface, Harness: harness, Poll: cfg.poll, Log: log,
+	})
 }
 
 // dumpWAL renders a journal directory for inspection without opening it

@@ -1,11 +1,22 @@
 package main
 
 import (
+	"context"
+	"encoding/json"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"loopapalooza/internal/bench"
+	"loopapalooza/internal/cluster"
+	"loopapalooza/internal/core"
+	"loopapalooza/internal/serve"
 	"loopapalooza/internal/wal"
 )
 
@@ -111,5 +122,61 @@ func tearJournal(t *testing.T, dir string) {
 func TestWALDumpRejectsMissingDir(t *testing.T) {
 	if rc := run(config{walDump: t.TempDir() + "/nonexistent"}); rc != 1 {
 		t.Fatalf("run(-wal-dump missing) = %d, want 1", rc)
+	}
+}
+
+// TestJobCellsHonourBudgets: under -max-steps 1000, a job cell run by a
+// worker wired the way lpd wires it ends step-limit, as a /v1/sweep of
+// the same cell does; a report depends only on the benchmark, the
+// configuration and the process budgets, whichever surface serves it.
+func TestJobCellsHonourBudgets(t *testing.T) {
+	cfg := config{maxSteps: 1000, poll: 5 * time.Millisecond}
+	log := slog.New(slog.NewTextHandler(io.Discard, nil))
+
+	s, err := serve.New(cfg.serveOptions(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/v1/sweep", "application/json",
+		strings.NewReader(`{"benchmarks":["181.mcf"],"configs":["reduc1-dep1-fn2 HELIX"]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var sweep serve.SweepResponse
+	if err := json.NewDecoder(resp.Body).Decode(&sweep); err != nil {
+		t.Fatal(err)
+	}
+	if len(sweep.Cells) != 1 || sweep.Cells[0].Outcome != core.OutcomeStepLimit {
+		t.Fatalf("/v1/sweep cells = %+v, want one step-limit cell", sweep.Cells)
+	}
+
+	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{Lease: 5 * time.Second})
+	defer coord.Close()
+	w, err := cfg.newWorker("budgeted", coord, log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	done := make(chan struct{})
+	go func() { defer close(done); w.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+	id, err := coord.Submit("t", []*bench.Benchmark{bench.ByName("181.mcf")}, []core.Config{core.BestHELIX()}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Wait(ctx, id); err != nil {
+		t.Fatal(err)
+	}
+	st, err := coord.Status(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Cells) != 1 || st.Cells[0].Outcome != core.OutcomeStepLimit {
+		t.Fatalf("job cells = %+v, want one step-limit cell, as /v1/sweep gives", st.Cells)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"reflect"
 	"runtime"
 	"testing"
@@ -37,11 +38,11 @@ func TestBytecodeDifferentialOracle(t *testing.T) {
 			var twTrace bytes.Buffer
 			want := make([]*core.Report, len(cfgs))
 			for i, cfg := range cfgs {
-				opts := core.RunOptions{Engine: core.EngineTreewalk}
+				var trace io.Writer
 				if i == 0 {
-					opts.Trace = &twTrace
+					trace = &twTrace
 				}
-				if want[i], err = core.Run(info, cfg, opts); err != nil {
+				if want[i], err = treewalkRun(info, cfg, 0, trace); err != nil {
 					t.Fatalf("%s: treewalk: %v", cfg, err)
 				}
 			}
@@ -61,7 +62,7 @@ func TestBytecodeDifferentialOracle(t *testing.T) {
 			var bcTrace bytes.Buffer
 			direct := make([]*core.Report, len(cfgs))
 			for i, cfg := range cfgs {
-				opts := core.RunOptions{Engine: core.EngineBytecode}
+				opts := core.RunOptions{}
 				if i == 0 {
 					opts.Trace = &bcTrace
 				}
@@ -71,7 +72,7 @@ func TestBytecodeDifferentialOracle(t *testing.T) {
 			}
 			check("direct", direct, nil)
 			for _, p := range []int{1, 2, runtime.NumCPU(), 64} {
-				multi, err := core.MultiRun(info, cfgs, core.RunOptions{Engine: core.EngineBytecode, Parallelism: p})
+				multi, err := core.MultiRun(info, cfgs, core.RunOptions{Parallelism: p})
 				check(fmt.Sprintf("multirun-p%d", p), multi, err)
 			}
 			// A trace recorded under the bytecode engine replays to the
@@ -108,10 +109,8 @@ func TestBytecodeBudgetExhaustionParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, budget := range []int64{1, 7, 100, 4097, 50_000} {
-				tw, errT := core.Run(info, cfg, core.RunOptions{
-					Engine: core.EngineTreewalk, MaxSteps: budget})
-				bc, errB := core.Run(info, cfg, core.RunOptions{
-					Engine: core.EngineBytecode, MaxSteps: budget})
+				tw, errT := treewalkRun(info, cfg, budget, nil)
+				bc, errB := core.Run(info, cfg, core.RunOptions{MaxSteps: budget})
 				if (errT == nil) != (errB == nil) {
 					t.Fatalf("budget %d: failure divergence: treewalk=%v bytecode=%v", budget, errT, errB)
 				}
@@ -177,8 +176,8 @@ func main() int {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, errT := core.Run(info, cfg, core.RunOptions{Engine: core.EngineTreewalk})
-			_, errB := core.Run(info, cfg, core.RunOptions{Engine: core.EngineBytecode})
+			_, errT := treewalkRun(info, cfg, 0, nil)
+			_, errB := core.Run(info, cfg, core.RunOptions{})
 			if errT == nil || errB == nil {
 				t.Fatalf("expected a trap: treewalk=%v bytecode=%v", errT, errB)
 			}

@@ -1,41 +1,11 @@
 package bench
 
 import (
-	"context"
 	"sort"
 	"testing"
 
 	"loopapalooza/internal/bytecode"
-	"loopapalooza/internal/core"
 )
-
-// BenchmarkSweepEngines is the macro engine comparison: a full sweep of
-// the EEMBC suite across the model grid under each execution engine —
-// the treewalk÷bytecode time ratio is BENCH_PR7.json's
-// bytecode_vs_treewalk headline.
-func BenchmarkSweepEngines(b *testing.B) {
-	benches := BySuite(SuiteEEMBC)
-	if len(benches) == 0 {
-		b.Fatal("no EEMBC benchmarks registered")
-	}
-	for _, bm := range benches {
-		if _, err := bm.Analyze(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	for _, engine := range []core.EngineKind{core.EngineBytecode, core.EngineTreewalk} {
-		b.Run(engine.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := NewHarnessWith(HarnessOptions{Run: core.RunOptions{Engine: engine}})
-				sr := h.Sweep(context.Background(), benches, sweepConfigs())
-				if sr.OK() != len(benches)*len(sweepConfigs()) {
-					b.Fatalf("sweep failures: %s", sr.Summary())
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkBytecodeLowering measures compiling the whole registered suite
 // to bytecode and reports the suite-wide static opcode mix as custom

@@ -19,9 +19,11 @@ import (
 //   - every report is self-consistent and anomaly-free, with speedup ≥ 1
 //     (core.VerifyReport);
 //   - partial DOALL subsumes DOALL under equal flags
-//     (core.CheckModelOrdering);
-//   - the dependence trackers are interchangeable: shadow-memory and
-//     legacy-map runs produce bit-identical reports (core.CompareReports).
+//     (core.CheckModelOrdering).
+//
+// The suite's tracker leg — shadow-memory and map-tracker runs of the same
+// programs produce bit-identical reports — needs the test-only map
+// tracker, so it lives in internal/core (TestMetamorphicTrackerOracle).
 
 // orderingPairs are the (DOALL, PDOALL) flag pairings checked for model
 // dominance. DOALL only validates with dep0, so the pairs span the
@@ -54,15 +56,6 @@ func checkProgram(t *testing.T, name, src string, opts core.RunOptions) {
 			}
 			if verr := core.VerifyReport(rep); verr != nil {
 				t.Errorf("%s: %v", cfg, verr)
-			}
-			mapOpts := opts
-			mapOpts.Tracker = core.TrackerLegacyMap
-			repMap, err := core.Run(info, cfg, mapOpts)
-			if err != nil {
-				t.Fatalf("%s (legacy tracker): %v", cfg, err)
-			}
-			if cerr := core.CompareReports(rep, repMap); cerr != nil {
-				t.Errorf("%s: %v", cfg, cerr)
 			}
 			reports[i] = rep
 		}

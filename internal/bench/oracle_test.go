@@ -1,10 +1,18 @@
 package bench
 
 import (
-	"reflect"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"io"
+	"os"
+	"strings"
 	"testing"
 
+	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/core"
+	"loopapalooza/internal/interp"
 )
 
 // oracleConfigs are the configurations the differential oracle runs: one
@@ -26,17 +34,71 @@ func oracleConfigs(short bool) []core.Config {
 	return cfgs
 }
 
+// treewalkRun is core.Run with main executed by the tree-walking
+// interpreter, the reference the bytecode VM is checked against: a fresh
+// engine consumes the tree-walker's hook stream under a maxSteps budget,
+// and a failure is wrapped as core.Run wraps it. When trace is non-nil a
+// second, identical execution records the event trace.
+func treewalkRun(info *analysis.ModuleInfo, cfg core.Config, maxSteps int64, trace io.Writer) (*core.Report, error) {
+	execute := func(hooks interp.Hooks) error {
+		if _, err := interp.New(info, interp.Config{MaxSteps: maxSteps, Hooks: hooks}).Run("main"); err != nil {
+			return fmt.Errorf("core: %s: %w", info.Mod.Name, err)
+		}
+		return nil
+	}
+	engine := core.NewEngine(info, cfg)
+	if err := execute(engine); err != nil {
+		return nil, err
+	}
+	if trace != nil {
+		tw := core.NewTraceWriter(trace, info)
+		if err := execute(tw); err != nil {
+			return nil, err
+		}
+		if err := tw.Close(); err != nil {
+			return nil, err
+		}
+	}
+	return engine.Report(info.Mod.Name), nil
+}
+
+// referenceDigests is testdata/reference.sha256: the SHA-256 of the
+// canonical JSON of every benchmark's report under every oracle
+// configuration, as the tree-walker on the map tracker computes it.
+const referenceDigests = "testdata/reference.sha256"
+
+// readReferenceDigests maps "<benchmark> <config>" to its reference
+// digest.
+func readReferenceDigests(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(referenceDigests)
+	if err != nil {
+		t.Fatal(err)
+	}
+	digests := map[string]string{}
+	for _, line := range strings.Split(string(b), "\n") {
+		if sum, key, ok := strings.Cut(line, "  "); ok && !strings.HasPrefix(line, "#") {
+			digests[key] = sum
+		}
+	}
+	return digests
+}
+
 // TestShadowTrackerDifferentialOracle runs every benchmark of the suite
-// under DOALL, PDOALL, and HELIX with both the shadow-memory tracker and
-// the legacy map tracker, and requires bit-identical Reports. This is the
-// correctness gate for the shadow memory: any divergence in conflict
-// detection, phase accounting, or cost propagation shows up as a report
-// diff.
+// under DOALL, PDOALL, and HELIX on the shadow-memory tracker and requires
+// reports bit-identical to the map tracker's. This is the correctness gate
+// for the shadow memory: any divergence in conflict detection, phase
+// accounting, or cost propagation shows up as a report diff. The map
+// tracker is test-only code of internal/core, so its reports reach this
+// package as the digests of testdata/reference.sha256, which
+// TestDifferentialMatrix in internal/core checks against the map tracker
+// on every run (and rewrites with -update).
 func TestShadowTrackerDifferentialOracle(t *testing.T) {
 	benchmarks := All()
 	if len(benchmarks) == 0 {
 		t.Fatal("no registered benchmarks")
 	}
+	want := readReferenceDigests(t)
 	short := testing.Short()
 	for _, b := range benchmarks {
 		b := b
@@ -47,19 +109,19 @@ func TestShadowTrackerDifferentialOracle(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, cfg := range oracleConfigs(short) {
-				shadow, errS := core.Run(info, cfg, core.RunOptions{Tracker: core.TrackerShadow})
-				legacy, errL := core.Run(info, cfg, core.RunOptions{Tracker: core.TrackerLegacyMap})
-				if (errS == nil) != (errL == nil) {
-					t.Fatalf("%s: tracker error divergence: shadow=%v legacy=%v", cfg, errS, errL)
+				key := b.Name + " " + cfg.String()
+				rep, err := core.Run(info, cfg, core.RunOptions{})
+				if err != nil {
+					t.Fatalf("%s: %v", cfg, err)
 				}
-				if errS != nil {
-					if errS.Error() != errL.Error() {
-						t.Fatalf("%s: error text divergence: shadow=%v legacy=%v", cfg, errS, errL)
-					}
-					continue
+				js, err := json.Marshal(rep)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(shadow, legacy) {
-					t.Errorf("%s: reports diverge\nshadow: %v\nlegacy: %v", cfg, shadow, legacy)
+				sum := sha256.Sum256(js)
+				if got := hex.EncodeToString(sum[:]); got != want[key] {
+					t.Errorf("%s: report digest %.12s, the map tracker's is %.12s (%s)",
+						key, got, want[key], referenceDigests)
 				}
 			}
 		})

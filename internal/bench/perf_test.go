@@ -24,31 +24,28 @@ func sweepConfigs() []core.Config {
 // the EEMBC suite across the model grid, through the fault-isolated
 // harness (fresh per op, so every op re-runs every cell; the per-benchmark
 // analysis once-cells are process-wide and shared, as in production
-// figure regeneration). Sub-benchmarks select the dependence tracker.
+// figure regeneration).
 func BenchmarkSweepSuite(b *testing.B) {
 	benches := BySuite(SuiteEEMBC)
 	if len(benches) == 0 {
 		b.Fatal("no EEMBC benchmarks registered")
 	}
-	// Warm the analysis once-cells so both sub-benchmarks measure pure
-	// sweep execution.
+	// Warm the analysis once-cells so the benchmark measures pure sweep
+	// execution.
 	for _, bm := range benches {
 		if _, err := bm.Analyze(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	for _, kind := range []core.TrackerKind{core.TrackerShadow, core.TrackerLegacyMap} {
-		b.Run(kind.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				h := NewHarnessWith(HarnessOptions{Run: core.RunOptions{Tracker: kind}})
-				sr := h.Sweep(context.Background(), benches, sweepConfigs())
-				if sr.OK() != len(benches)*len(sweepConfigs()) {
-					b.Fatalf("sweep failures: %s", sr.Summary())
-				}
+	b.Run("shadow", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			sr := NewHarness().Sweep(context.Background(), benches, sweepConfigs())
+			if sr.OK() != len(benches)*len(sweepConfigs()) {
+				b.Fatalf("sweep failures: %s", sr.Summary())
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSweepFanout measures the full fourteen-configuration paper-grid

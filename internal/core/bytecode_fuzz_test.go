@@ -38,14 +38,12 @@ func FuzzBytecodeDifferential(f *testing.F) {
 			t.Fatalf("generated program failed to compile: %v\nsource:\n%s", err, src)
 		}
 		for _, cfg := range cfgs {
-			optsT := fuzzRunOpts(TrackerShadow)
-			optsT.Engine = EngineTreewalk
+			optsT := WithTreewalk(fuzzRunOpts())
 			var outT bytes.Buffer
 			optsT.Out = &outT
 			repT, errT := Run(info, cfg, optsT)
 
-			optsB := fuzzRunOpts(TrackerShadow)
-			optsB.Engine = EngineBytecode
+			optsB := fuzzRunOpts()
 			var outB bytes.Buffer
 			optsB.Out = &outB
 			repB, errB := Run(info, cfg, optsB)

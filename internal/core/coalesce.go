@@ -85,7 +85,7 @@ type engineSet struct {
 
 // prepareEngines validates every configuration and builds one engine per
 // behavior class, assigning each configuration to its class representative.
-func prepareEngines(info *analysis.ModuleInfo, cfgs []Config, kind TrackerKind) (*engineSet, error) {
+func prepareEngines(info *analysis.ModuleInfo, cfgs []Config, o *oracle) (*engineSet, error) {
 	s := &engineSet{assign: make([]int, len(cfgs))}
 	classes := map[configClass]int{}
 	for i, cfg := range cfgs {
@@ -99,7 +99,7 @@ func prepareEngines(info *analysis.ModuleInfo, cfgs []Config, kind TrackerKind) 
 		}
 		classes[cl] = len(s.engines)
 		s.assign[i] = len(s.engines)
-		s.engines = append(s.engines, NewEngineTracker(info, cfg, kind))
+		s.engines = append(s.engines, o.newEngine(info, cfg))
 	}
 	return s, nil
 }

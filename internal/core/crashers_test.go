@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -12,7 +13,9 @@ import (
 // compile must fail with a diagnostic; inputs that compile must either run
 // or fail inside the documented error taxonomy. Nothing may panic, hang,
 // or allocate outside the budgets (the huge-globals and deep-recursion
-// crashers did exactly that before their fixes).
+// crashers did exactly that before their fixes). Every crasher that
+// compiles also runs on the tree-walking interpreter, which must give the
+// bytecode VM's outcome, error text, program output and report.
 func TestCrasherReplayRun(t *testing.T) {
 	paths, err := filepath.Glob(filepath.Join("..", "lang", "testdata", "crashers", "*.lpc"))
 	if err != nil {
@@ -30,7 +33,28 @@ func TestCrasherReplayRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			_, rerr := RunSource(filepath.Base(p), string(src), cfg, opts)
+			info, err := AnalyzeSource(filepath.Base(p), string(src))
+			if err != nil {
+				// A compile-time diagnostic; the compile surface's own
+				// replay test (internal/lang) checks its shape.
+				return
+			}
+			var out, outT bytes.Buffer
+			bcOpts, twOpts := opts, WithTreewalk(opts)
+			bcOpts.Out, twOpts.Out = &out, &outT
+			rep, rerr := Run(info, cfg, bcOpts)
+			repT, errT := Run(info, cfg, twOpts)
+			if Classify(rerr) != Classify(errT) || errText(rerr) != errText(errT) {
+				t.Errorf("engines disagree: bytecode=%v treewalk=%v", rerr, errT)
+			}
+			if !bytes.Equal(out.Bytes(), outT.Bytes()) {
+				t.Errorf("program output differs: bytecode %q, treewalk %q", out.String(), outT.String())
+			}
+			if rerr == nil && errT == nil {
+				if cerr := CompareReports(rep, repT); cerr != nil {
+					t.Error(cerr)
+				}
+			}
 			if rerr == nil {
 				return
 			}
@@ -42,8 +66,15 @@ func TestCrasherReplayRun(t *testing.T) {
 					return // classified execution failure: fine
 				}
 			}
-			// Otherwise it must be a compile-time diagnostic; the compile
-			// surface's own replay test (internal/lang) checks its shape.
+			t.Fatalf("execution failure outside the taxonomy: %v", rerr)
 		})
 	}
+}
+
+// errText is err's message, or "" for nil.
+func errText(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
 }

@@ -19,16 +19,16 @@ import (
 // bottom-up cost propagation, and SWARM/T4-style multi-level nested
 // parallelism, realized online.
 //
-// Dependence storage lives behind a depTracker: the default shadow memory
-// (paged generation-stamped tables) or the legacy per-instance maps kept as
-// a differential oracle (see TrackerKind).
+// Dependence storage lives behind a depTracker: the shadow memory (paged
+// generation-stamped tables), or in tests the per-instance map tracker it
+// is checked against.
 type Engine struct {
 	info *analysis.ModuleInfo
 	cfg  Config
 	tr   depTracker
-	// sh is tr when it is the default shadow tracker, letting the batched
-	// hot path (memSpan) make a direct call instead of an interface
-	// dispatch; nil under the legacy-map oracle.
+	// sh is tr when it is the shadow tracker, letting the batched hot path
+	// (memSpan) make a direct call instead of an interface dispatch; nil
+	// under a test's map tracker.
 	sh   *shadowTracker
 	plan evalPlan
 
@@ -161,10 +161,6 @@ type instance struct {
 	conflictIters     int64
 	curIterConflicted bool
 
-	// writes is the legacy map tracker's write set (nil under the shadow
-	// tracker, which stores records in its own level tables).
-	writes map[int64]writeRec
-
 	// coveredChildren accumulates covered serial ticks reported by
 	// child instances, consumed if this instance ends up serial.
 	coveredChildren int64
@@ -175,19 +171,18 @@ type writeRec struct {
 	off  int64 // adjusted offset of the write within its iteration
 }
 
-// NewEngine prepares an engine for one run of one configuration, using the
-// default shadow-memory tracker. The configuration must Validate.
+// NewEngine prepares an engine for one run of one configuration, on the
+// shadow-memory tracker. The configuration must Validate.
 func NewEngine(info *analysis.ModuleInfo, cfg Config) *Engine {
-	return NewEngineTracker(info, cfg, TrackerShadow)
+	return newEngine(info, cfg, newShadowTracker(info))
 }
 
-// NewEngineTracker is NewEngine with an explicit dependence-tracker choice;
-// the differential-oracle tests use it to compare both implementations.
-func NewEngineTracker(info *analysis.ModuleInfo, cfg Config, kind TrackerKind) *Engine {
+// newEngine is NewEngine on the given dependence tracker.
+func newEngine(info *analysis.ModuleInfo, cfg Config, tr depTracker) *Engine {
 	e := &Engine{
 		info:  info,
 		cfg:   cfg,
-		tr:    newTracker(kind, info),
+		tr:    tr,
 		stats: map[*analysis.LoopMeta]*LoopStat{},
 		plan: evalPlan{
 			obsLive:  cfg.Dep != 0,
@@ -680,7 +675,7 @@ func (e *Engine) memSpan(evs []memEv, sum *spanSum) {
 		inst := e.live[li]
 		offBase := adj0 - inst.iterStartAdj
 		var nh int
-		if sh := e.sh; sh != nil { // direct call on the default tracker
+		if sh := e.sh; sh != nil { // direct call on the shadow tracker
 			nh = sh.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs, sum)
 		} else {
 			nh = e.tr.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs, sum)

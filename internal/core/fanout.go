@@ -543,7 +543,7 @@ func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps [
 				&PanicError{Val: r, Stack: string(debug.Stack())})
 		}
 	}()
-	set, err := prepareEngines(info, cfgs, opts.Tracker)
+	set, err := prepareEngines(info, cfgs, opts.oracle)
 	if err != nil {
 		return nil, err
 	}
@@ -587,8 +587,8 @@ func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps [
 	return reps, err
 }
 
-// interpret runs main under the selected execution engine with the given
-// hooks and the RunOptions budgets.
+// interpret runs main on the bytecode VM with the given hooks and the
+// RunOptions budgets.
 func interpret(info *analysis.ModuleInfo, opts RunOptions, hooks interp.Hooks) error {
 	var deadline time.Time
 	if opts.Timeout > 0 {
@@ -602,7 +602,7 @@ func interpret(info *analysis.ModuleInfo, opts RunOptions, hooks interp.Hooks) e
 		Deadline:     deadline,
 		Hooks:        hooks,
 	}
-	if _, err := execute(info, opts.Engine, cfg, opts.EntryArgs); err != nil {
+	if _, err := opts.oracle.execute(info, cfg, opts.EntryArgs); err != nil {
 		return fmt.Errorf("core: %s: %w", info.Mod.Name, err)
 	}
 	return nil

@@ -10,11 +10,10 @@ import (
 // fuzzRunOpts is the tight execution budget for fuzz runs: big enough that
 // generated loop nests finish, small enough that a pathological input
 // costs milliseconds, not the fuzzer's whole budget.
-func fuzzRunOpts(tracker TrackerKind) RunOptions {
+func fuzzRunOpts() RunOptions {
 	return RunOptions{
 		MaxSteps:     400_000,
 		MaxHeapCells: 1 << 20,
-		Tracker:      tracker,
 	}
 }
 
@@ -43,7 +42,7 @@ func classifyRunErr(t *testing.T, err error, src string) {
 // checks the metamorphic invariants on every successful run:
 //
 //   - report self-consistency incl. speedup ≥ 1 (VerifyReport);
-//   - tracker independence: shadow-memory and legacy-map reports are
+//   - tracker independence: shadow-memory and map-tracker reports are
 //     bit-identical (CompareReports);
 //   - model dominance: PDOALL never loses to DOALL under equal flags
 //     (CheckModelOrdering).
@@ -69,8 +68,8 @@ func FuzzCompileAndRun(f *testing.F) {
 
 		reports := map[Model]*Report{}
 		for _, cfg := range []Config{doallCfg, pdoallCfg, BestHELIX()} {
-			rep, err := Run(info, cfg, fuzzRunOpts(TrackerShadow))
-			repMap, errMap := Run(info, cfg, fuzzRunOpts(TrackerLegacyMap))
+			rep, err := Run(info, cfg, fuzzRunOpts())
+			repMap, errMap := Run(info, cfg, WithMapTracker(fuzzRunOpts()))
 			classifyRunErr(t, err, src)
 			classifyRunErr(t, errMap, src)
 			if (err == nil) != (errMap == nil) {

@@ -64,9 +64,9 @@ func VerifyReport(r *Report) error {
 }
 
 // CompareReports checks that two reports for the same (benchmark,
-// configuration) cell are bit-identical. It is the differential oracle for
-// the dependence trackers: the shadow-memory tracker and the legacy map
-// tracker must produce byte-for-byte equal reports on every program.
+// configuration) cell are bit-identical. It is the differential oracles'
+// report check: every engine, tracker, fan-out width and trace replay
+// must produce byte-for-byte equal reports on every program.
 func CompareReports(a, b *Report) error {
 	if a == nil || b == nil {
 		return fmt.Errorf("invariant: nil report in comparison (%v, %v)", a == nil, b == nil)

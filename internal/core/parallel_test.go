@@ -2,10 +2,11 @@ package core
 
 // Tests for the class-affinity worker pool: worker-count resolution and
 // the auto width shared among the runs in flight, bit-identical
-// determinism across worker counts and shuffled chunk-arrival timing,
-// concurrent read-only sharing of one chunk's span summaries (the -race
-// gate of the precomputation pass), shadow pages recycled across
-// concurrent runs, and the memRun summary contract.
+// determinism under shuffled chunk-arrival timing, concurrent read-only
+// sharing of one chunk's span summaries (the -race gate of the
+// precomputation pass), shadow pages recycled across concurrent runs, and
+// the memRun summary contract. Determinism across worker counts is
+// checked by TestDifferentialMatrix.
 
 import (
 	"bytes"
@@ -102,7 +103,7 @@ func TestMultiRunSharesAutoWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := PaperConfigs()
-	set, err := prepareEngines(info, cfgs, TrackerShadow)
+	set, err := prepareEngines(info, cfgs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,54 +140,6 @@ func noRunsInFlight(t *testing.T) {
 	t.Helper()
 	if n := multiRunsInFlight.Load(); n != 0 {
 		t.Errorf("%d MultiRun calls still counted in flight, want 0", n)
-	}
-}
-
-// TestParallelDeterminism is the pool's determinism gate: reports AND
-// recorded binary traces must be bit-identical across Parallelism ∈
-// {1, 2, NumCPU, 64} and across repeated runs (repeats reshuffle goroutine
-// scheduling, i.e. the relative timing with which workers pick chunks up).
-func TestParallelDeterminism(t *testing.T) {
-	cfgs := PaperConfigs()
-	widths := []int{1, 2, runtime.NumCPU(), 64}
-	for name, src := range map[string]string{
-		"infrequent": infrequentSrc,
-		"stack":      stackSrc,
-		"dep1":       dep1Src,
-	} {
-		info, err := AnalyzeSource(name, src)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var wantTrace bytes.Buffer
-		want := make([]*Report, len(cfgs))
-		for i, cfg := range cfgs {
-			opts := RunOptions{}
-			if i == 0 {
-				opts.Trace = &wantTrace
-			}
-			if want[i], err = Run(info, cfg, opts); err != nil {
-				t.Fatalf("%s/%s: %v", name, cfg, err)
-			}
-		}
-		for _, p := range widths {
-			for rep := 0; rep < 3; rep++ {
-				var trace bytes.Buffer
-				got, err := MultiRun(info, cfgs, RunOptions{Parallelism: p, Trace: &trace})
-				if err != nil {
-					t.Fatalf("%s p=%d rep=%d: %v", name, p, rep, err)
-				}
-				for i := range cfgs {
-					if err := CompareReports(want[i], got[i]); err != nil {
-						t.Errorf("%s p=%d rep=%d %s: %v", name, p, rep, cfgs[i], err)
-					}
-				}
-				if !bytes.Equal(wantTrace.Bytes(), trace.Bytes()) {
-					t.Errorf("%s p=%d rep=%d: recorded trace differs from the per-config reference (%d vs %d bytes)",
-						name, p, rep, trace.Len(), wantTrace.Len())
-				}
-			}
-		}
 	}
 }
 
@@ -306,7 +259,7 @@ func TestSpanSummarySharedRace(t *testing.T) {
 	cfgs := PaperConfigs()
 	serial := make([]*Engine, len(cfgs))
 	for i, cfg := range cfgs {
-		serial[i] = NewEngineTracker(info, cfg, TrackerShadow)
+		serial[i] = NewEngine(info, cfg)
 		serial[i].replayChunkBatched(c)
 	}
 
@@ -316,13 +269,13 @@ func TestSpanSummarySharedRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int, cfg Config) {
 			defer wg.Done()
-			e := NewEngineTracker(info, cfg, TrackerShadow)
+			e := NewEngine(info, cfg)
 			for rep := 0; rep < 4; rep++ {
 				if rep == 0 {
 					e.replayChunkBatched(c)
 				} else {
 					// Fresh engine per repetition; only the last survives.
-					e = NewEngineTracker(info, cfg, TrackerShadow)
+					e = NewEngine(info, cfg)
 					e.replayChunkBatched(c)
 				}
 			}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"loopapalooza/internal/analysis"
+	"loopapalooza/internal/bytecode"
 	"loopapalooza/internal/diag"
 	"loopapalooza/internal/interp"
 	"loopapalooza/internal/lang"
@@ -30,14 +31,6 @@ type RunOptions struct {
 	Timeout time.Duration
 	// EntryArgs are passed to main (usually none).
 	EntryArgs []interp.Val
-	// Tracker selects the dependence-tracking implementation. The zero
-	// value is the shadow-memory tracker; TrackerLegacyMap keeps the
-	// original map-based write sets (differential-oracle runs).
-	Tracker TrackerKind
-	// Engine selects the execution engine. The zero value is the bytecode
-	// VM; EngineTreewalk keeps the original IR walker
-	// (differential-oracle runs).
-	Engine EngineKind
 	// Trace, when non-nil, receives the binary event trace of the
 	// execution (see TraceWriter), which ReplayTrace can later evaluate
 	// under any configuration without re-executing. A trace write failure
@@ -53,6 +46,43 @@ type RunOptions struct {
 	// FanoutThreshold configurations always use one worker. Reports and
 	// recorded traces are bit-identical at every value.
 	Parallelism int
+
+	// oracle is nil in production. Tests set it (export_test.go) to run
+	// the reference implementations this pipeline is checked against.
+	oracle *oracle
+}
+
+// oracle swaps test-only reference implementations into a run; a nil
+// field keeps the production one.
+type oracle struct {
+	// exec executes main in place of the bytecode VM: the tree-walking
+	// interpreter.
+	exec func(info *analysis.ModuleInfo, cfg interp.Config, args []interp.Val) (interp.Result, error)
+	// tracker builds each engine's dependence tracker in place of the
+	// shadow tracker: the map tracker.
+	tracker func() depTracker
+}
+
+// newEngine builds the engine of one configuration: on the shadow
+// tracker, or on the oracle's tracker.
+func (o *oracle) newEngine(info *analysis.ModuleInfo, cfg Config) *Engine {
+	if o == nil || o.tracker == nil {
+		return NewEngine(info, cfg)
+	}
+	return newEngine(info, cfg, o.tracker())
+}
+
+// execute runs main on the bytecode VM, or on the oracle's executor,
+// firing the hook stream into cfg.Hooks.
+func (o *oracle) execute(info *analysis.ModuleInfo, cfg interp.Config, args []interp.Val) (interp.Result, error) {
+	if o != nil && o.exec != nil {
+		return o.exec(info, cfg, args)
+	}
+	prog, err := bytecode.For(info)
+	if err != nil {
+		return interp.Result{}, err
+	}
+	return bytecode.NewVM(prog, cfg).Run("main", args...)
 }
 
 // Run executes the analyzed module's main function under one configuration
@@ -73,7 +103,7 @@ func Run(info *analysis.ModuleInfo, cfg Config, opts RunOptions) (rep *Report, e
 				&PanicError{Val: r, Stack: string(debug.Stack())})
 		}
 	}()
-	engine := NewEngineTracker(info, cfg, opts.Tracker)
+	engine := opts.oracle.newEngine(info, cfg)
 	var hooks interp.Hooks = engine
 	tw := traceSink(info, opts)
 	if tw != nil {

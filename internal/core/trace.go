@@ -609,9 +609,9 @@ func (tr *TraceReader) Replay(h interp.Hooks) error {
 }
 
 // ReplayTrace replays one recorded trace under one configuration and
-// returns a report bit-identical to the Run that recorded it. Only
-// opts.Tracker is consulted: resource budgets were enforced when the
-// trace was recorded.
+// returns a report bit-identical to the Run that recorded it. The budgets
+// in opts are not consulted: they were enforced when the trace was
+// recorded.
 func ReplayTrace(name string, info *analysis.ModuleInfo, cfg Config, opts RunOptions, r io.Reader) (*Report, error) {
 	reps, err := ReplayTraceMulti(name, info, []Config{cfg}, opts, r)
 	if err != nil {
@@ -633,7 +633,7 @@ func ReplayTraceMulti(name string, info *analysis.ModuleInfo, cfgs []Config, opt
 				&PanicError{Val: p, Stack: string(debug.Stack())})
 		}
 	}()
-	set, err := prepareEngines(info, cfgs, opts.Tracker)
+	set, err := prepareEngines(info, cfgs, opts.oracle)
 	if err != nil {
 		return nil, err
 	}

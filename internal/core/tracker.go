@@ -9,31 +9,6 @@ import (
 	"loopapalooza/internal/interp"
 )
 
-// TrackerKind selects the dependence-tracking data structure behind the
-// engine. The two trackers are semantically identical — the legacy map
-// tracker is kept as a differential oracle for the shadow memory — so the
-// choice only affects performance.
-type TrackerKind int
-
-const (
-	// TrackerShadow is the default: a paged, generation-stamped shadow
-	// memory. Load/Store cost one page lookup plus a generation compare
-	// per active loop level, and clearing an instance is a generation
-	// bump instead of a map drop.
-	TrackerShadow TrackerKind = iota
-	// TrackerLegacyMap is the original per-instance map[int64]writeRec
-	// write set, retained as the correctness oracle.
-	TrackerLegacyMap
-)
-
-// String names the tracker kind.
-func (k TrackerKind) String() string {
-	if k == TrackerLegacyMap {
-		return "legacy-map"
-	}
-	return "shadow"
-}
-
 // depTracker stores, per active loop instance, the last cross-iteration
 // write to each address. The engine owns all policy (cactus-stack
 // exemption, same-iteration and committed-phase filtering, conflict
@@ -181,40 +156,6 @@ type memEv struct {
 	tick int64 // Σ tick payloads inside the span before this record
 	kind uint8 // memLoad or memStore
 	reg  int8  // region: regLow, regHeap, regStack
-}
-
-// mapTracker is the legacy write-set representation: one map per instance.
-// Its batch methods are the naive loops — the oracle stays obviously
-// correct while the shadow tracker specializes.
-type mapTracker struct{}
-
-func (mapTracker) enter(inst *instance) { inst.writes = map[int64]writeRec{} }
-func (mapTracker) drop(inst *instance)  { inst.writes = nil }
-func (mapTracker) loadAt(inst *instance, _ int, _ int64, addr int64) (writeRec, bool) {
-	rec, ok := inst.writes[addr]
-	return rec, ok
-}
-func (mapTracker) storeAt(inst *instance, _ int, _ int64, addr int64, rec writeRec) {
-	inst.writes[addr] = rec
-}
-func (mapTracker) memRun(inst *instance, evs []memEv,
-	iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec, _ *spanSum) int {
-	nh := 0
-	for i := range evs {
-		ev := &evs[i]
-		if ev.reg == regStack && ev.addr < spLimit {
-			continue
-		}
-		if ev.kind == memStore {
-			inst.writes[ev.addr] = writeRec{iter: iter, off: offBase + ev.tick}
-			continue
-		}
-		if rec, ok := inst.writes[ev.addr]; ok {
-			hitIdx[nh], hitRecs[nh] = int32(i), rec
-			nh++
-		}
-	}
-	return nh
 }
 
 // Shadow-memory geometry. Guest addresses split into three dense regions
@@ -397,8 +338,8 @@ func (t *shadowTracker) touch(lvl *shadowLevel, r int, idx int64) *shadowPage {
 
 // release returns every page to shadowPages and drops the levels, so a
 // page is never in two directories. Call it once, after the engine has
-// replayed its last event. A nil tracker (an engine on the map oracle)
-// has nothing to release.
+// replayed its last event. A nil tracker (an engine on a test's map
+// tracker) has nothing to release.
 func (t *shadowTracker) release() {
 	if t == nil {
 		return
@@ -570,12 +511,4 @@ func (t *shadowTracker) storeRun(lvl *shadowLevel, evs []memEv,
 		pg.recs[idx&pageMask] = rec
 	}
 	return 0
-}
-
-// newTracker builds the tracker for a kind.
-func newTracker(kind TrackerKind, info *analysis.ModuleInfo) depTracker {
-	if kind == TrackerLegacyMap {
-		return mapTracker{}
-	}
-	return newShadowTracker(info)
 }

@@ -100,7 +100,7 @@ func runTrackerDiff(tb testing.TB, ops []byte) {
 	sh := newShadowTracker(info)
 	sh.caps[regHeap] = diffHeapCap
 	sh.caps[regStack] = diffStackCap
-	mp := mapTracker{}
+	mp := newMapTracker()
 	const maxDepth = 4
 	shInst := make([]*instance, maxDepth)
 	mpInst := make([]*instance, maxDepth)

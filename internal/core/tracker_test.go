@@ -7,23 +7,34 @@ import (
 	"loopapalooza/internal/interp"
 )
 
-// bothTrackers runs a subtest under the shadow and the legacy map tracker:
-// every scenario must behave identically under both.
-func bothTrackers(t *testing.T, fn func(t *testing.T, kind TrackerKind)) {
+// trackerCase names a dependence tracker and builds it for a module.
+type trackerCase struct {
+	name string
+	new  func(info *analysis.ModuleInfo) depTracker
+}
+
+var (
+	shadowCase = trackerCase{"shadow", func(info *analysis.ModuleInfo) depTracker { return newShadowTracker(info) }}
+	mapCase    = trackerCase{"legacy-map", func(*analysis.ModuleInfo) depTracker { return newMapTracker() }}
+)
+
+// bothTrackers runs a subtest under the shadow and the map tracker: every
+// scenario must behave identically under both.
+func bothTrackers(t *testing.T, fn func(t *testing.T, tc trackerCase)) {
 	t.Helper()
-	for _, kind := range []TrackerKind{TrackerShadow, TrackerLegacyMap} {
-		t.Run(kind.String(), func(t *testing.T) { fn(t, kind) })
+	for _, tc := range []trackerCase{shadowCase, mapCase} {
+		t.Run(tc.name, func(t *testing.T) { fn(t, tc) })
 	}
 }
 
-func newTrackerEngine(t *testing.T, cfg Config, kind TrackerKind) (*Engine, *analysis.LoopMeta) {
+func newTrackerEngine(t *testing.T, cfg Config, tc trackerCase) (*Engine, *analysis.LoopMeta) {
 	t.Helper()
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	lm := fakeMeta()
 	info := &analysis.ModuleInfo{Loops: []*analysis.LoopMeta{lm}}
-	return NewEngineTracker(info, cfg, kind), lm
+	return newEngine(info, cfg, tc.new(info)), lm
 }
 
 // TestCactusStackBoundary pins the off-by-one of the cactus-stack
@@ -43,8 +54,8 @@ func TestCactusStackBoundary(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			bothTrackers(t, func(t *testing.T, kind TrackerKind) {
-				e, lm := newTrackerEngine(t, Config{Model: DOALL}, kind)
+			bothTrackers(t, func(t *testing.T, tr trackerCase) {
+				e, lm := newTrackerEngine(t, Config{Model: DOALL}, tr)
 				e.EnterLoop(lm, iterSP, nil)
 				e.Tick(5)
 				e.Store(tc.addr)
@@ -78,8 +89,8 @@ func TestCactusStackBoundary(t *testing.T) {
 // one loop (the classic callee-local temp) never conflicts even across
 // iterations, because both accesses are below iterStartSP.
 func TestCactusStackExemptSameIteration(t *testing.T) {
-	bothTrackers(t, func(t *testing.T, kind TrackerKind) {
-		e, lm := newTrackerEngine(t, Config{Model: DOALL}, kind)
+	bothTrackers(t, func(t *testing.T, tr trackerCase) {
+		e, lm := newTrackerEngine(t, Config{Model: DOALL}, tr)
 		sp := int64(interp.StackTop - 16)
 		calleeCell := sp - 8 // inside a frame pushed during the iteration
 		e.EnterLoop(lm, sp, nil)
@@ -106,8 +117,8 @@ func TestCactusStackExemptSameIteration(t *testing.T) {
 func TestPDOALLPhaseCommitVisibility(t *testing.T) {
 	addrA := int64(interp.HeapBase + 10)
 	addrC := int64(interp.HeapBase + 20)
-	bothTrackers(t, func(t *testing.T, kind TrackerKind) {
-		e, lm := newTrackerEngine(t, Config{Model: PDOALL}, kind)
+	bothTrackers(t, func(t *testing.T, tr trackerCase) {
+		e, lm := newTrackerEngine(t, Config{Model: PDOALL}, tr)
 		e.EnterLoop(lm, interp.StackTop, nil)
 		// iter 0: write A; phase 0.
 		e.Tick(10)
@@ -156,8 +167,8 @@ func TestPDOALLPhaseCommitVisibility(t *testing.T) {
 // the SAME iteration is not a cross-iteration dependence.
 func TestSameIterationWritesInvisible(t *testing.T) {
 	addr := int64(interp.HeapBase + 5)
-	bothTrackers(t, func(t *testing.T, kind TrackerKind) {
-		e, lm := newTrackerEngine(t, Config{Model: DOALL}, kind)
+	bothTrackers(t, func(t *testing.T, tr trackerCase) {
+		e, lm := newTrackerEngine(t, Config{Model: DOALL}, tr)
 		e.EnterLoop(lm, interp.StackTop, nil)
 		for i := 0; i < 2; i++ {
 			e.Tick(5)
@@ -187,8 +198,8 @@ func TestShadowWildAddresses(t *testing.T) {
 		int64(interp.HeapBase) + (1<<24 + 77), // beyond the heap flat cap
 	}
 	for _, addr := range wilds {
-		bothTrackers(t, func(t *testing.T, kind TrackerKind) {
-			e, lm := newTrackerEngine(t, Config{Model: DOALL}, kind)
+		bothTrackers(t, func(t *testing.T, tr trackerCase) {
+			e, lm := newTrackerEngine(t, Config{Model: DOALL}, tr)
 			e.EnterLoop(lm, interp.StackTop, nil)
 			e.Tick(5)
 			e.Store(addr)
@@ -212,8 +223,8 @@ func TestShadowWildAddresses(t *testing.T) {
 // replaces map clearing).
 func TestShadowGenerationIsolation(t *testing.T) {
 	addr := int64(interp.HeapBase + 40)
-	bothTrackers(t, func(t *testing.T, kind TrackerKind) {
-		e, lm := newTrackerEngine(t, Config{Model: DOALL}, kind)
+	bothTrackers(t, func(t *testing.T, tr trackerCase) {
+		e, lm := newTrackerEngine(t, Config{Model: DOALL}, tr)
 		// Instance 1 writes addr in iteration 0 and exits cleanly.
 		e.EnterLoop(lm, interp.StackTop, nil)
 		e.Tick(5)
@@ -269,7 +280,7 @@ func TestLoopEventAnomalies(t *testing.T) {
 
 // TestAnomalyFreeRun: a well-formed hook sequence reports zero anomalies.
 func TestAnomalyFreeRun(t *testing.T) {
-	e, lm := newTrackerEngine(t, Config{Model: DOALL}, TrackerShadow)
+	e, lm := newTrackerEngine(t, Config{Model: DOALL}, shadowCase)
 	e.EnterLoop(lm, interp.StackTop, nil)
 	e.Tick(5)
 	e.IterLoop(lm, interp.StackTop, nil)
@@ -283,7 +294,7 @@ func TestAnomalyFreeRun(t *testing.T) {
 // TestInstancePoolReuse: engine behaviour is independent of instance
 // recycling — many sequential instances through the pool keep exact costs.
 func TestInstancePoolReuse(t *testing.T) {
-	e, lm := newTrackerEngine(t, Config{Model: DOALL}, TrackerShadow)
+	e, lm := newTrackerEngine(t, Config{Model: DOALL}, shadowCase)
 	for k := 0; k < 100; k++ {
 		e.EnterLoop(lm, interp.StackTop, nil)
 		for _, cost := range []int64{10, 20, 10, 15} {

@@ -1,8 +1,11 @@
-// Package interp executes IR modules in a simulated word-addressed memory
-// and fires the instrumentation call-backs the Loopapalooza run-time
-// consumes: dynamic IR instruction counts, loop entry/iteration/exit,
-// memory access addresses, and per-iteration values of the observed
-// loop-carried register dependencies (paper §III-A).
+// Package interp defines how IR modules execute: the simulated
+// word-addressed memory, the builtins, and the instrumentation call-backs
+// (Hooks) the Loopapalooza run-time consumes — dynamic IR instruction
+// counts, loop entry/iteration/exit, memory access addresses, and
+// per-iteration values of the observed loop-carried register dependencies
+// (paper §III-A). The bytecode VM (internal/bytecode) executes on this
+// model in production; Interp, a tree-walker over the IR, is the
+// reference tests compare the VM against.
 package interp
 
 import (

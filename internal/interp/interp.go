@@ -55,7 +55,9 @@ type Result struct {
 	Steps int64
 }
 
-// Interp executes one analyzed module.
+// Interp executes one analyzed module by walking its IR. It is the
+// reference implementation the bytecode VM (internal/bytecode) is checked
+// against, and only tests run it: production executes on the VM.
 type Interp struct {
 	info  *analysis.ModuleInfo
 	mod   *ir.Module
@@ -111,7 +113,7 @@ func (in *Interp) failMem(err error) {
 
 // New prepares an interpreter for an analyzed module: it lays out globals,
 // applies initializers, and ensures every function has dense register
-// numbering for the flat frames.
+// numbering for the flat frames. Only tests call it; see Interp.
 func New(info *analysis.ModuleInfo, cfg Config) *Interp {
 	in := &Interp{
 		info:       info,

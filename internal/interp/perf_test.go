@@ -60,13 +60,10 @@ func reportThroughput(b *testing.B, steps int64) {
 	b.ReportMetric(float64(steps)/float64(b.N), "instrs/run")
 }
 
-// BenchmarkInterpDispatch measures pure execution throughput with no
-// instrumentation attached, for both engines. The bytecode sub-benchmark
-// is the production configuration — one VM reused across runs via Reset,
-// which the steady-state allocation test below pins at zero — while the
-// treewalk sub-benchmark keeps the oracle's original shape (a fresh
-// interpreter per run). The custom metric is dynamic IR instructions per
-// second.
+// BenchmarkInterpDispatch measures pure execution throughput of the
+// bytecode VM with no instrumentation attached: one VM reused across runs
+// via Reset, which the steady-state allocation test below pins at zero.
+// The custom metric is dynamic IR instructions per second.
 func BenchmarkInterpDispatch(b *testing.B) {
 	info := dispatchInfo(b)
 
@@ -82,21 +79,6 @@ func BenchmarkInterpDispatch(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			vm.Reset()
 			res, err := vm.Run("main")
-			if err != nil {
-				b.Fatal(err)
-			}
-			steps += res.Steps
-		}
-		reportThroughput(b, steps)
-	})
-
-	b.Run("treewalk", func(b *testing.B) {
-		var steps int64
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			in := interp.New(info, interp.Config{})
-			res, err := in.Run("main")
 			if err != nil {
 				b.Fatal(err)
 			}

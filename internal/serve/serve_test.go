@@ -437,39 +437,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestEngineOption: a server pinned to the treewalk oracle serves the
-// same reports as the default bytecode server and advertises its engine
-// on /metrics.
-func TestEngineOption(t *testing.T) {
-	_, tsB := newTestServer(t, Options{})
-	_, tsT := newTestServer(t, Options{Engine: core.EngineTreewalk})
-	req := AnalyzeRequest{Name: "e", Source: okSrc, Config: "reduc1-dep1-fn2 HELIX"}
-	stB, bodyB := postJSON(t, tsB.URL+"/v1/analyze", req)
-	stT, bodyT := postJSON(t, tsT.URL+"/v1/analyze", req)
-	if stB != http.StatusOK || stT != http.StatusOK {
-		t.Fatalf("status %d / %d, want 200", stB, stT)
-	}
-	var respB, respT AnalyzeResponse
-	if err := json.Unmarshal(bodyB, &respB); err != nil {
-		t.Fatal(err)
-	}
-	if err := json.Unmarshal(bodyT, &respT); err != nil {
-		t.Fatal(err)
-	}
-	if err := core.CompareReports(respB.Report, respT.Report); err != nil {
-		t.Errorf("engines serve diverging reports: %v", err)
-	}
-	resp, err := http.Get(tsT.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if want := `lpd_engine_info{engine="treewalk"`; !strings.Contains(string(body), want) {
-		t.Errorf("metrics missing %q", want)
-	}
-}
-
 // TestParallelismOption: a server pinned to a serial fan-out pool serves
 // reports bit-identical to the default width and advertises its worker
 // count on /metrics.

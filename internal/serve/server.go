@@ -77,11 +77,6 @@ type Options struct {
 	// DefaultConfig is applied when a request omits the configuration
 	// ("" = "reduc1-dep1-fn2 HELIX", the best realistic HELIX of Fig. 4).
 	DefaultConfig string
-	// Engine selects the execution engine for every run this server
-	// performs. The zero value is the bytecode VM; EngineTreewalk keeps
-	// the tree-walking oracle. Exposed as the lpd_engine_info metric
-	// label.
-	Engine core.EngineKind
 	// Parallelism bounds the fan-out worker pool of every sweep this
 	// server performs (0 = share GOMAXPROCS among the runs in flight in
 	// the process, 1 = serial). Reports are bit-identical at every width.
@@ -161,7 +156,6 @@ func New(opts Options) (*Server, error) {
 				MaxSteps:     opts.DefaultBudgets.MaxSteps,
 				MaxHeapCells: opts.DefaultBudgets.MaxHeapCells,
 				Timeout:      time.Duration(opts.DefaultBudgets.TimeoutMs) * time.Millisecond,
-				Engine:       opts.Engine,
 				Parallelism:  opts.Parallelism,
 			},
 			Workers: lim.Cap(),
@@ -228,7 +222,7 @@ func (s *Server) registerMetrics() {
 	s.reg.NewGauge("lpd_engine_info",
 		"Execution engine and widest fan-out worker count of this server; at width 0 the runs in flight share it (value is always 1).",
 		"engine", "fanout").
-		Set(1, s.opts.Engine.String(), fmt.Sprintf("p=%d", core.ResolveParallelism(s.opts.Parallelism)))
+		Set(1, "bytecode", fmt.Sprintf("p=%d", core.ResolveParallelism(s.opts.Parallelism)))
 	s.reg.NewCounterFunc("lpd_cache_hits_total",
 		"Analyze requests served from a stored cache entry.",
 		func() float64 { return float64(s.cache.Stats().Hits) })
@@ -563,7 +557,6 @@ func (s *Server) runOptions(b Budgets) core.RunOptions {
 		MaxHeapCells: b.MaxHeapCells,
 		Timeout:      time.Duration(b.TimeoutMs) * time.Millisecond,
 		Ctx:          s.baseCtx,
-		Engine:       s.opts.Engine,
 		Parallelism:  s.opts.Parallelism,
 	}
 }

@@ -89,42 +89,13 @@ func Analyze(name, src string) (*ModuleInfo, error) {
 // RunOptions carries the resource budgets and cancellation context of a
 // run: MaxSteps (dynamic instruction budget), Timeout / Ctx (wall-clock
 // and cooperative cancellation), MaxHeapCells (simulated heap budget),
-// Tracker (dependence-tracking implementation), and Parallelism
+// Out (program output), Trace (event-trace sink) and Parallelism
 // (StudyMany's fan-out width: 0 shares GOMAXPROCS among the multi-config
 // runs in flight, 1 replays every configuration on the calling
-// goroutine; reports are bit-identical at every width).
+// goroutine; reports are bit-identical at every width). Every run
+// executes on the bytecode VM with the shadow-memory dependence tracker;
+// there is no engine or tracker to choose.
 type RunOptions = core.RunOptions
-
-// TrackerKind selects the dependence-tracking implementation used by the
-// limit-study engine.
-type TrackerKind = core.TrackerKind
-
-// The dependence trackers. TrackerShadow — paged generation-stamped shadow
-// memory — is the production default (and the zero value). TrackerLegacyMap
-// is the original per-instance hash-map tracker, kept as a differential
-// oracle: both produce bit-identical Reports.
-const (
-	TrackerShadow    = core.TrackerShadow
-	TrackerLegacyMap = core.TrackerLegacyMap
-)
-
-// EngineKind selects the execution engine that produces the
-// instrumentation event stream.
-type EngineKind = core.EngineKind
-
-// The execution engines. EngineBytecode — a register-based bytecode VM
-// with type-specialized opcodes and fused superinstructions — is the
-// production default (and the zero value). EngineTreewalk is the original
-// per-instruction IR walker, kept as a differential oracle: both produce
-// bit-identical Reports.
-const (
-	EngineBytecode = core.EngineBytecode
-	EngineTreewalk = core.EngineTreewalk
-)
-
-// ParseEngineKind maps a CLI flag value ("bytecode", "treewalk") to an
-// EngineKind.
-func ParseEngineKind(s string) (EngineKind, error) { return core.ParseEngineKind(s) }
 
 // Outcome classifies a run failure into the taxonomy (see Classify). It
 // serializes to stable slugs ("ok", "step-limit", ...) via
