@@ -87,8 +87,8 @@ func TestFanoutRaceStress(t *testing.T) {
 			t.Fatal(err)
 		}
 		// One worker per class, then the pool shape with shared workers:
-		// every engine class reads the same sealed chunks and span
-		// summaries, from fewer goroutines at p=2.
+		// every engine class reads the same sealed chunks, from fewer
+		// goroutines at p=2.
 		for _, p := range []int{64, 2} {
 			reps, err := core.MultiRun(info, cfgs, core.RunOptions{Parallelism: p})
 			if err != nil {

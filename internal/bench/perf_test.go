@@ -80,7 +80,7 @@ func BenchmarkSweepFanout(b *testing.B) {
 // the EEMBC suite, through a harness running one program per CPU, at
 // Parallelism 1 (every engine replayed on the interpreting goroutine)
 // versus one pool worker per CPU in every run (engine classes sharded by
-// class affinity, all reading the shared span summaries), and at the
+// class affinity, all reading the same sealed chunks), and at the
 // default Parallelism 0, which shares GOMAXPROCS among the runs in flight
 // and so replays mostly inline while the harness keeps every CPU busy.
 // Reports are bit-identical at every width — the differential oracles

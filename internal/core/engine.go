@@ -639,7 +639,9 @@ func (e *Engine) Store(addr int64) {
 }
 
 // memSpan applies one run of mixed load/store/tick records — a sealed
-// chunk's memory span — through the batched tracker path.
+// chunk's memory span — through the batched tracker path. A run whose
+// configurations coalesce into more than one engine class replays every
+// memory span this way; a one-class run feeds Load and Store instead.
 //
 // The run is processed instance-major: each live instance resolves the
 // whole run in ONE depTracker.memRun call, then the engine applies the RAW
@@ -647,7 +649,7 @@ func (e *Engine) Store(addr int64) {
 // the per-event walk because, between loop events, there is no data flow
 // between instances: loads are pure, stores touch only the instance's own
 // write set, conflicts mutate only the conflicting instance, and the clock
-// evolution inside the run is data-independent (ticks[i] gives the exact
+// evolution inside the run is data-independent (evs[i].tick is the exact
 // clock advance before record i, and savings cannot change inside a run).
 // Per-instance policy state (phaseFirstIter, curIterConflicted) is read
 // and written in the same record order as per-event dispatch.
@@ -657,11 +659,7 @@ func (e *Engine) Store(addr int64) {
 // applying hits (the tracker already resolved the whole run, but its state
 // for a dropped instance is invalidated by the next generation bump, and
 // the discarded hits match exactly what per-event dispatch never saw).
-//
-// sum is the span's shared conflict summary (nil when the producer did not
-// compute one); it lets the tracker skip provably hit-free probe work and
-// never changes the hit list.
-func (e *Engine) memSpan(evs []memEv, sum *spanSum) {
+func (e *Engine) memSpan(evs []memEv) {
 	if len(e.live) == 0 {
 		return
 	}
@@ -676,9 +674,9 @@ func (e *Engine) memSpan(evs []memEv, sum *spanSum) {
 		offBase := adj0 - inst.iterStartAdj
 		var nh int
 		if sh := e.sh; sh != nil { // direct call on the shadow tracker
-			nh = sh.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs, sum)
+			nh = sh.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs)
 		} else {
-			nh = e.tr.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs, sum)
+			nh = e.tr.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs)
 		}
 		for h := 0; h < nh; h++ {
 			e.loadHit(inst, hitRecs[h], offBase+evs[hitIdx[h]].tick)

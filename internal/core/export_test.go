@@ -31,6 +31,18 @@ func withOracle(opts RunOptions, set func(*oracle)) RunOptions {
 	return opts
 }
 
+// EngineClasses returns the number of engine classes cfgs coalesce into
+// on info, which picks a run's consumer: one class is fed event by event
+// through its engine's hooks, more share sealed chunks.
+func EngineClasses(info *analysis.ModuleInfo, cfgs []Config) (int, error) {
+	set, err := prepareEngines(info, cfgs, nil)
+	if err != nil {
+		return 0, err
+	}
+	set.release()
+	return len(set.engines), nil
+}
+
 // treewalk runs main on the tree-walking interpreter.
 func treewalk(info *analysis.ModuleInfo, cfg interp.Config, args []interp.Val) (interp.Result, error) {
 	return interp.New(info, cfg).Run("main", args...)

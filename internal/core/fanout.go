@@ -8,29 +8,33 @@ package core
 // amortizes the expensive producer (the interpreter) across N cheap
 // consumers (the engines).
 //
-// There is one fan-out path. The producer (chunkTee) runs on the
-// interpreting goroutine and builds each chunk's SEALED batched-replay
-// plan at write time: every load/store address is classified into its
-// shadow region once, the records are partitioned into loop-event
-// singletons and memory spans — maximal stretches of loads, stores, and
-// interleaved ticks, with each record's intra-span clock offset
-// precomputed and ticks folded into the span — and each memory span gets
-// a conflict summary (spanSum: per-region load-index intervals,
-// homogeneous-kind flags, the self-conflict marker). The plan is shared
-// read-only by every engine, so N engines split the classification AND
-// summarization cost N ways: each feeds whole spans to the tracker's
-// batched memRun method (Engine.replayChunkBatched).
+// There is one evaluation body, evaluate, behind Run, MultiRun and
+// ReplayTraceMulti. It coalesces the configurations into engine classes
+// (coalesce.go), picks the consumer of the event stream, tees the trace
+// writer off it, runs the producer (the VM, or a trace decoder) and
+// derives the reports. The consumer is chosen by the class count:
 //
-// The worker count w = min(Parallelism resolved, coalesced classes) is
-// the only setting, and it is 1 below FanoutThreshold configurations.
-// Parallelism 0 resolves at run start to GOMAXPROCS shared among the
-// MultiRun calls then in flight: a lone run gets every CPU, and a sweep
+//   - One class, which every Run is: the producer calls that engine's own
+//     interp.Hooks, event by event.
+//   - More classes: the producer (chunkTee) builds each chunk's SEALED
+//     batched-replay plan at write time. Every load/store address is
+//     classified into its shadow region once, and the records are
+//     partitioned into loop-event singletons and memory spans: maximal
+//     stretches of loads, stores, and interleaved ticks, with each
+//     record's intra-span clock offset precomputed and ticks folded into
+//     the span. The plan is shared read-only by every engine class, so
+//     the classes split the classification cost; each feeds whole spans
+//     to the tracker's batched memRun method (Engine.replayChunkBatched).
+//
+// The chunks replay on w workers, w = min(Parallelism resolved, coalesced
+// classes); w is 1 below FanoutThreshold configurations and for trace
+// replay. Parallelism 0 resolves at run start to GOMAXPROCS shared among
+// the evaluations then in flight: a lone run gets every CPU, and a sweep
 // that already runs programs concurrently does not pay for parallelism a
 // second time inside each run.
 //
-//   - w == 1: each full chunk replays inline, on the interpreting
-//     goroutine, into every engine; the one chunk is reused for the whole
-//     run.
+//   - w == 1: each full chunk replays inline, on the producing goroutine,
+//     into every engine; the one chunk is reused for the whole run.
 //   - w > 1: each full chunk is reference-counted and published to one
 //     buffered channel per worker of the class-affinity pool. Each worker
 //     owns a fixed round-robin subset of the coalesced engine classes (a
@@ -43,7 +47,7 @@ package core
 // IterLoop observations) into the chunk's flat arrays is the one copy of
 // the fan-out (see interp.Hooks). The trace writer needs the per-event
 // stream, so it tees off the producer directly and records the same bytes
-// at every width.
+// on every route and at every width.
 //
 // The contract, enforced differentially against the golden suite: the
 // reports of MultiRun(info, cfgs, opts) are bit-identical to running
@@ -77,17 +81,17 @@ func ResolveParallelism(p int) int {
 	return p
 }
 
-// multiRunsInFlight counts the MultiRun calls executing in this process.
-// It is coordination state, like shadowGen and the page pool, not a
-// setting: the callers that nest parallelism (bench.Harness workers,
-// serve sweeps, cluster workers, concurrent library users) share nothing
-// but the process.
-var multiRunsInFlight atomic.Int32
+// runsInFlight counts the evaluations executing in this process: Run,
+// MultiRun and trace replay calls alike. It is coordination state, like
+// shadowGen and the page pool, not a setting: the callers that nest
+// parallelism (bench.Harness workers, serve sweeps and analyses, cluster
+// workers, concurrent library users) share nothing but the process.
+var runsInFlight atomic.Int32
 
-// fanoutWorkers is the worker count of one MultiRun, given the MultiRun
-// calls in flight, itself included. Parallelism 0 shares GOMAXPROCS among
-// them: max(1, GOMAXPROCS ÷ inFlight). The width is then clamped to the
-// number of coalesced engine classes, and is 1 below FanoutThreshold
+// fanoutWorkers is the worker count of one evaluation, given the
+// evaluations in flight, itself included. Parallelism 0 shares GOMAXPROCS
+// among them: max(1, GOMAXPROCS ÷ inFlight). The width is then clamped to
+// the number of coalesced engine classes, and is 1 below FanoutThreshold
 // configurations. Explicit widths ignore inFlight.
 func fanoutWorkers(nCfgs, nClasses, parallelism, inFlight int) int {
 	if nCfgs < FanoutThreshold {
@@ -132,19 +136,17 @@ type evRec struct {
 const chunkRecs = 1024
 
 // evChunk is one sealed batch of events: the replay plan plus the copied
-// payloads. Consumers read it strictly read-only; refs counts the pool
-// workers that have not released it.
+// payloads, shared by every engine class of a multi-class run. Consumers
+// read it strictly read-only; refs counts the pool workers that have not
+// released it.
 type evChunk struct {
 	// The chunk's partition into spans; the loop-event records the
-	// singleton spans address; the dense memory-record array the memory
-	// spans index (kind, region classification, and intra-span tick
-	// offsets, in record order); and one conflict summary per memory span
-	// (indexed by runSpan.sumIdx) that every engine class consults before
-	// probing.
+	// singleton spans address; and the dense memory-record array the
+	// memory spans index (kind, region classification, and intra-span
+	// tick offsets, in record order), which every class probes itself.
 	spans []runSpan
 	recs  []evRec
 	mem   []memEv
-	sums  []spanSum
 	vals  []interp.Val
 	obs   []interp.LCDObs
 	refs  atomic.Int32
@@ -158,8 +160,8 @@ func newChunk() *evChunk {
 }
 
 // chunkPool recycles the producer's chunk, grown arrays included, across
-// runs: a steady stream of MultiRun and ReplayTraceMulti calls replaying
-// inline allocates no chunk memory. Each run returns exactly one chunk,
+// runs: a steady stream of multi-class runs and replays replaying inline
+// allocates no chunk memory. Each run returns exactly one chunk,
 // once no engine or worker can read it any more; the other chunks of a
 // pooled run are left to the GC, so that between runs chunkPool holds one
 // chunk per concurrent run rather than fanoutChunks.
@@ -175,13 +177,12 @@ func getChunk() *evChunk {
 // runSpan is one element of a sealed chunk's replay plan. Loop events
 // (enter/iter/exit) are singleton spans addressing recs[rec]; everything
 // between them — loads, stores, and the ticks interleaved with them — is
-// one memory span addressing the chunk's dense m-arrays [mstart, mend),
+// one memory span addressing the chunk's memory records [mstart, mend),
 // with sum the total clock advance inside the span.
 type runSpan struct {
 	kind         evKind
 	rec          int32 // record index, for loop-event spans
-	mstart, mend int32 // m-array range, for memory spans
-	sumIdx       int32 // conflict-summary index in the chunk's sums, for memory spans
+	mstart, mend int32 // mem range, for memory spans
 	sum          int64 // Σ tick payloads, for memory spans
 }
 
@@ -190,7 +191,6 @@ func (c *evChunk) reset() {
 	c.spans = c.spans[:0]
 	c.recs = c.recs[:0]
 	c.mem = c.mem[:0]
-	c.sums = c.sums[:0]
 	c.vals = c.vals[:0]
 	c.obs = c.obs[:0]
 }
@@ -211,15 +211,15 @@ func (c *evChunk) reset() {
 //     code that discards them.
 //
 // The result is bit-identical to feeding the same events to Engine's
-// per-event hooks, which is what per-configuration Run does; the oracle
-// suites pin that equivalence.
+// per-event hooks, which is what a one-class run does; the oracle suites
+// pin that equivalence.
 func (e *Engine) replayChunkBatched(c *evChunk) {
 	for si := range c.spans {
 		s := &c.spans[si]
 		switch s.kind {
 		case evMemSpan:
 			if s.mend > s.mstart {
-				e.memSpan(c.mem[s.mstart:s.mend], &c.sums[s.sumIdx])
+				e.memSpan(c.mem[s.mstart:s.mend])
 			}
 			e.clock += s.sum
 		case evEnter:
@@ -321,15 +321,14 @@ func inlineTee(engines []*Engine) *chunkTee {
 	})
 }
 
-// closeMemSpan ends the open memory span, emitting it — with its shared
-// conflict summary — if it observed any tick or memory record.
+// closeMemSpan seals the open memory span into the plan if it observed
+// any tick or memory record. Sealing only records the span's bounds and
+// tick sum: the records are already classified.
 func (t *chunkTee) closeMemSpan() {
 	c := t.cur
 	if t.sum != 0 || int32(len(c.mem)) > t.mstart {
-		si := int32(len(c.sums))
-		c.sums = append(c.sums, summarizeSpan(c.mem[t.mstart:]))
 		c.spans = append(c.spans, runSpan{
-			kind: evMemSpan, mstart: t.mstart, mend: int32(len(c.mem)), sumIdx: si, sum: t.sum,
+			kind: evMemSpan, mstart: t.mstart, mend: int32(len(c.mem)), sum: t.sum,
 		})
 		t.sum = 0
 		t.mstart = int32(len(c.mem))
@@ -530,16 +529,30 @@ func affinityGroups[T any](items []T, workers int) [][]T {
 // (budget trip, guest fault, cancellation) is returned once and applies to
 // every configuration, exactly as N identical executions would each have
 // failed.
-func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps []*Report, err error) {
-	inFlight := int(multiRunsInFlight.Add(1))
-	defer multiRunsInFlight.Add(-1)
+func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) ([]*Report, error) {
+	return evaluate(info, info.Mod.Name, cfgs, opts, func(h interp.Hooks) error {
+		return interpret(info, opts, h)
+	})
+}
+
+// evaluate is the one evaluation body of Run, MultiRun and
+// ReplayTraceMulti, and the one place a run's consumer is chosen (see the
+// file comment). Every configuration is validated before produce, which
+// feeds the whole event stream into the hooks it is given, runs; the
+// reports are named name. A panic in the producer or an inline consumer is
+// recovered here, and a pool worker's panic is returned by the pool;
+// either way the run's shadow pages are left to the GC.
+func evaluate(info *analysis.ModuleInfo, name string, cfgs []Config, opts RunOptions,
+	produce func(interp.Hooks) error) (reps []*Report, err error) {
+	inFlight := int(runsInFlight.Add(1))
+	defer runsInFlight.Add(-1)
 	var pool *workerPool // set while workers run
 	defer func() {
 		if r := recover(); r != nil {
 			if pool != nil {
 				pool.close() // a panicking producer still stops its workers
 			}
-			reps, err = nil, fmt.Errorf("core: %s: %w", info.Mod.Name,
+			reps, err = nil, fmt.Errorf("core: %s: %w", name,
 				&PanicError{Val: r, Stack: string(debug.Stack())})
 		}
 	}()
@@ -547,10 +560,15 @@ func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps [
 	if err != nil {
 		return nil, err
 	}
-	var t *chunkTee
-	if w := fanoutWorkers(len(cfgs), len(set.engines), opts.Parallelism, inFlight); w == 1 {
+	var hooks interp.Hooks
+	var t *chunkTee // nil on the engine-hooks route
+	switch w := fanoutWorkers(len(cfgs), len(set.engines), opts.Parallelism, inFlight); {
+	case len(set.engines) == 1:
+		hooks = set.engines[0]
+	case w == 1:
 		t = inlineTee(set.engines)
-	} else {
+		hooks = t
+	default:
 		groups := affinityGroups(set.engines, w)
 		replayers := make([]func(*evChunk), len(groups))
 		for i, g := range groups {
@@ -558,30 +576,31 @@ func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) (reps [
 		}
 		pool = startWorkers(replayers)
 		t = newChunkTee(pool.publish)
+		hooks = t
 	}
-	var hooks interp.Hooks = t
 	tw := traceSink(info, opts)
 	if tw != nil {
-		hooks = &multiHooks{hs: []interp.Hooks{t, tw}}
+		hooks = &multiHooks{hs: []interp.Hooks{hooks, tw}}
 	}
 
-	err = interpret(info, opts, hooks)
-	t.finish()
+	err = produce(hooks)
+	if t != nil {
+		t.finish()
+	}
 	if pool != nil {
 		p := pool.close()
 		pool = nil
 		if p != nil {
-			// A worker panicked: its pages are left to the GC.
-			return nil, fmt.Errorf("core: %s: %w", info.Mod.Name, p)
+			return nil, fmt.Errorf("core: %s: %w", name, p)
 		}
 	}
 	if err == nil && tw != nil {
 		if cerr := tw.Close(); cerr != nil {
-			err = fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, cerr)
+			err = fmt.Errorf("core: %s: writing trace: %w", name, cerr)
 		}
 	}
 	if err == nil {
-		reps = set.reports(cfgs, info.Mod.Name)
+		reps = set.reports(cfgs, name)
 	}
 	set.release()
 	return reps, err

@@ -105,21 +105,27 @@ func TestMultiRunAutoSelect(t *testing.T) {
 
 // TestMultiRunEmptyAndInvalid: zero configurations execute once and return
 // zero reports; an invalid configuration anywhere in the set fails the
-// whole call before execution.
+// whole call before execution, and fails a replay before the trace header
+// is read, so a corrupt trace still yields the configuration's error.
 func TestMultiRunEmptyAndInvalid(t *testing.T) {
 	info, err := AnalyzeSource("edge", doallSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
+	bad := []Config{{Model: DOALL}, {Model: DOALL, Dep: 99}}
+	invalid := bad[1].Validate()
 	for width, p := range multiWidths {
 		reps, err := MultiRun(info, nil, RunOptions{Parallelism: p})
 		if err != nil || len(reps) != 0 {
 			t.Errorf("%s: empty cfgs = (%v, %v), want no reports, no error", width, reps, err)
 		}
-		bad := []Config{{Model: DOALL}, {Model: DOALL, Dep: 99}}
 		if _, err := MultiRun(info, bad, RunOptions{Parallelism: p}); err == nil {
 			t.Errorf("%s: invalid config accepted", width)
 		}
+	}
+	_, err = ReplayTraceMulti("edge", info, bad, RunOptions{}, strings.NewReader("not a trace"))
+	if err == nil || err.Error() != invalid.Error() {
+		t.Errorf("ReplayTraceMulti(invalid config, corrupt trace) = %v, want the Validate error %q", err, invalid)
 	}
 	noRunsInFlight(t)
 }
@@ -496,21 +502,35 @@ func (panicWriter) Write([]byte) (int, error) { panic("sink bug") }
 
 // TestMultiRunProducerPanic: a panic on the producing goroutine — here in
 // the trace sink, mid-run, once the trace outgrows the writer's buffer —
-// surfaces as a typed *PanicError at every width, and a pooled run's
-// workers exit instead of leaking.
+// surfaces as a typed *PanicError from Run, from a one-class MultiRun (the
+// engine-hooks route) and from a multi-class MultiRun at every width, and
+// a pooled run's workers exit instead of leaking.
 func TestMultiRunProducerPanic(t *testing.T) {
 	info, err := AnalyzeSource("sinkpanic", traceHeavySrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	before := runtime.NumGoroutine()
-	for width, p := range multiWidths {
-		_, err := MultiRun(info, PaperConfigs(), RunOptions{Trace: panicWriter{}, Parallelism: p})
+	check := func(who string, err error) {
+		t.Helper()
 		var pe *PanicError
 		if !errors.As(err, &pe) || pe.Val != "sink bug" {
-			t.Errorf("%s: err = %v, want the sink's *PanicError", width, err)
+			t.Errorf("%s: err = %v, want the sink's *PanicError", who, err)
 		}
 	}
+	oneClass := make([]Config, FanoutThreshold)
+	for i := range oneClass {
+		oneClass[i] = BestPDOALL()
+	}
+	for width, p := range multiWidths {
+		opts := RunOptions{Trace: panicWriter{}, Parallelism: p}
+		_, err := MultiRun(info, PaperConfigs(), opts)
+		check(width, err)
+		_, err = MultiRun(info, oneClass, opts)
+		check(width+"/one-class", err)
+	}
+	_, err = Run(info, BestHELIX(), RunOptions{Trace: panicWriter{}})
+	check("Run", err)
 	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; {
 		if time.Now().After(deadline) {
 			t.Fatalf("%d goroutines after the runs, %d before: pool workers leaked", runtime.NumGoroutine(), before)

@@ -22,7 +22,7 @@ func (m *mapTracker) storeAt(inst *instance, _ int, _ int64, addr int64, rec wri
 	m.writes[inst][addr] = rec
 }
 func (m *mapTracker) memRun(inst *instance, evs []memEv,
-	iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec, _ *spanSum) int {
+	iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec) int {
 	writes := m.writes[inst]
 	nh := 0
 	for i := range evs {

@@ -81,11 +81,14 @@ const referenceDigests = "../bench/testdata/reference.sha256"
 // oracleConfigs, and over the hand-written determinism programs under
 // every paper configuration three times over, so goroutine scheduling —
 // the order in which pool workers pick chunks up — is reshuffled between
-// repeats. The kernels' reference reports must also match
+// repeats. One more row runs a determinism program under configurations
+// that coalesce into a single engine class, so MultiRun and
+// ReplayTraceMulti feed that engine event by event instead of through
+// sealed chunks. The kernels' reference reports must also match
 // referenceDigests; -update rewrites the file from them.
 //
 // The rows run in parallel with each other, but the test itself does not
-// call t.Parallel: other tests count the MultiRun calls in flight and the
+// call t.Parallel: other tests count the runs in flight and the
 // pool's goroutines, which only holds while no other top-level test runs.
 func TestDifferentialMatrix(t *testing.T) {
 	kernels := bench.All()
@@ -145,6 +148,33 @@ func TestDifferentialMatrix(t *testing.T) {
 			checkMatrix(t, info, core.PaperConfigs(), 3)
 		})
 	}
+	t.Run("one-class", func(t *testing.T) {
+		t.Parallel()
+		var src string
+		for _, p := range core.DeterminismPrograms {
+			if p.Name == "infrequent" {
+				src = p.Src
+			}
+		}
+		info, err := core.AnalyzeSource("infrequent", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// infrequent's one loop makes no call and carries no register
+		// LCD, so the reduc, dep and fn flags have nothing to act on and
+		// its eight PDOALL paper configurations share one engine.
+		var cfgs []core.Config
+		for _, cfg := range core.PaperConfigs() {
+			if cfg.Model == core.PDOALL {
+				cfgs = append(cfgs, cfg)
+			}
+		}
+		if n, err := core.EngineClasses(info, cfgs); err != nil || n != 1 || len(cfgs) < core.FanoutThreshold {
+			t.Fatalf("%d configurations form %d engine classes (%v), want at least %d forming 1",
+				len(cfgs), n, err, core.FanoutThreshold)
+		}
+		checkMatrix(t, info, cfgs, 1)
+	})
 }
 
 // readReferenceDigests returns the digest lines of referenceDigests. With

@@ -2,11 +2,10 @@ package core
 
 // Tests for the class-affinity worker pool: worker-count resolution and
 // the auto width shared among the runs in flight, bit-identical
-// determinism under shuffled chunk-arrival timing, concurrent read-only
-// sharing of one chunk's span summaries (the -race gate of the
-// precomputation pass), shadow pages recycled across concurrent runs, and
-// the memRun summary contract. Determinism across worker counts is
-// checked by TestDifferentialMatrix.
+// determinism under shuffled chunk-arrival timing, one sealed chunk
+// replayed concurrently by every engine class (the -race gate of the
+// read-only sharing), and shadow pages recycled across concurrent runs.
+// Determinism across worker counts is checked by TestDifferentialMatrix.
 
 import (
 	"bytes"
@@ -70,7 +69,7 @@ func TestFanoutWorkers(t *testing.T) {
 }
 
 // fanoutCase is one row of TestFanoutWorkers: fanoutWorkers' arguments,
-// the MultiRun calls in flight included, and the width it must return.
+// the runs in flight included, and the width it must return.
 type fanoutCase struct {
 	name                                string
 	nCfgs, nClasses, parallel, inFlight int
@@ -123,8 +122,8 @@ func TestMultiRunSharesAutoWidth(t *testing.T) {
 	if got, want := workers(0), min(4, classes); got != want || got < 2 {
 		t.Errorf("lone width-0 run started %d pool workers, want %d", got, want)
 	}
-	multiRunsInFlight.Add(4) // four other runs in flight
-	defer multiRunsInFlight.Add(-4)
+	runsInFlight.Add(4) // four other runs in flight
+	defer runsInFlight.Add(-4)
 	if got := workers(0); got != 0 {
 		t.Errorf("width-0 run among 4 in flight started %d pool workers, want 0 (inline)", got)
 	}
@@ -138,8 +137,8 @@ func TestMultiRunSharesAutoWidth(t *testing.T) {
 // auto width of every later run in the process.
 func noRunsInFlight(t *testing.T) {
 	t.Helper()
-	if n := multiRunsInFlight.Load(); n != 0 {
-		t.Errorf("%d MultiRun calls still counted in flight, want 0", n)
+	if n := runsInFlight.Load(); n != 0 {
+		t.Errorf("%d runs still counted in flight, want 0", n)
 	}
 }
 
@@ -218,14 +217,14 @@ func TestWorkerPoolShuffledArrival(t *testing.T) {
 	}
 }
 
-// TestSpanSummarySharedRace is the -race gate of the span-level
-// precomputation pass: one sealed chunk — spans, memory records, and
-// conflict summaries — is replayed concurrently by every coalesced engine
-// class of the paper grid, each with its own tracker. The summaries are
-// computed once on this goroutine and consulted read-only by all engines;
-// any write to shared chunk state is a race-detector failure, and every
-// engine must still match a serially-replayed twin bit-for-bit.
-func TestSpanSummarySharedRace(t *testing.T) {
+// TestSharedChunkRace is the -race gate of chunk sharing: one sealed
+// chunk — spans, memory records and payloads — is replayed concurrently
+// by every coalesced engine class of the paper grid, each with its own
+// tracker. The chunk is sealed once on this goroutine and read by all
+// engines; any write to shared chunk state is a race-detector failure,
+// and every engine must still match a serially-replayed twin
+// bit-for-bit.
+func TestSharedChunkRace(t *testing.T) {
 	info, err := AnalyzeSource("race", doallSrc)
 	if err != nil {
 		t.Fatal(err)
@@ -233,8 +232,8 @@ func TestSpanSummarySharedRace(t *testing.T) {
 	lm := info.Loops[0]
 
 	// A chunk with dense load/store spans across regions, including
-	// stack addresses under the cactus filter and pure-store and
-	// pure-load stretches the summary fast paths trigger on.
+	// stack addresses under the cactus filter, and loads that find no
+	// recorded write beside loads that find one.
 	c := sealOne(t, func(w interp.Hooks) {
 		w.EnterLoop(lm, int64(interp.StackTop)-64, nil)
 		for iter := 0; iter < 10; iter++ {
@@ -246,11 +245,11 @@ func TestSpanSummarySharedRace(t *testing.T) {
 			}
 			for j := int64(0); j < 40; j++ {
 				w.Tick(1)
-				w.Load(base + 4096 + j) // disjoint: the skip path
+				w.Load(base + 4096 + j) // never written
 			}
 			for j := int64(0); j < 8; j++ {
 				w.Tick(1)
-				w.Load(base + j) // overlapping: the probe path
+				w.Load(base + j) // just stored: the tracker finds a record
 			}
 		}
 		w.ExitLoop(lm)
@@ -287,7 +286,7 @@ func TestSpanSummarySharedRace(t *testing.T) {
 		want := serial[i].Report("race")
 		got := concurrent[i].Report("race")
 		if err := CompareReports(want, got); err != nil {
-			t.Errorf("%s: concurrent summary readers diverged from serial replay: %v", cfgs[i], err)
+			t.Errorf("%s: concurrent chunk readers diverged from serial replay: %v", cfgs[i], err)
 		}
 	}
 }
@@ -350,65 +349,4 @@ func TestShadowPageRecycling(t *testing.T) {
 	}
 	wg.Wait()
 	noRunsInFlight(t)
-}
-
-// TestMemRunSummaryContract: for spans engineered onto each fast path —
-// pure stores, disjoint pure loads, disjoint mixed, overlapping, and
-// self-conflicting — memRun with the span's summary must return the
-// exact hit list memRun without a summary returns, on identical state.
-func TestMemRunSummaryContract(t *testing.T) {
-	info := trackerDiffInfo()
-	heap := int64(interp.HeapBase)
-	spans := map[string][]memEv{
-		"pure-store": {
-			mkEv(heap+10, memStore, 0), mkEv(heap+11, memStore, 1),
-		},
-		"disjoint-loads": {
-			mkEv(heap+500, memLoad, 0), mkEv(heap+501, memLoad, 1),
-		},
-		"disjoint-mixed": {
-			mkEv(heap+600, memStore, 0), mkEv(heap+900, memLoad, 1),
-		},
-		"overlapping-loads": {
-			mkEv(heap+10, memLoad, 0), mkEv(heap+11, memLoad, 1),
-		},
-		"self-conflict": {
-			mkEv(heap+700, memStore, 0), mkEv(heap+700, memLoad, 1),
-		},
-	}
-	for name, evs := range spans {
-		runFor := func(sum *spanSum) (int, []int32, []writeRec) {
-			sh := newShadowTracker(info)
-			inst := &instance{depth: 0}
-			sh.enter(inst)
-			// Pre-span state: writes at heap+10..heap+19 from iteration 0.
-			for j := int64(0); j < 10; j++ {
-				r, idx := region(heap + 10 + j)
-				sh.storeAt(inst, r, idx, heap+10+j, writeRec{iter: 0, off: j})
-			}
-			hitIdx := make([]int32, len(evs))
-			hitRecs := make([]writeRec, len(evs))
-			n := sh.memRun(inst, evs, 2, 100, 0, hitIdx, hitRecs, sum)
-			return n, hitIdx[:n], hitRecs[:n]
-		}
-		sum := summarizeSpan(evs)
-		nWant, idxWant, recWant := runFor(nil)
-		nGot, idxGot, recGot := runFor(&sum)
-		if nWant != nGot {
-			t.Errorf("%s: hit count %d with summary, %d without", name, nGot, nWant)
-			continue
-		}
-		for h := 0; h < nWant; h++ {
-			if idxWant[h] != idxGot[h] || recWant[h] != recGot[h] {
-				t.Errorf("%s: hit %d diverged under summary: (%d,%+v) vs (%d,%+v)",
-					name, h, idxGot[h], recGot[h], idxWant[h], recWant[h])
-			}
-		}
-	}
-}
-
-// mkEv builds one memory record with its region classification.
-func mkEv(addr int64, kind uint8, tick int64) memEv {
-	r, idx := region(addr)
-	return memEv{idx: idx, addr: addr, tick: tick, kind: kind, reg: int8(r)}
 }

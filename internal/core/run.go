@@ -2,9 +2,7 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"io"
-	"runtime/debug"
 	"time"
 
 	"loopapalooza/internal/analysis"
@@ -38,13 +36,15 @@ type RunOptions struct {
 	// recording.
 	Trace io.Writer
 	// Parallelism is MultiRun's fan-out width: 0 (auto) shares GOMAXPROCS
-	// among the MultiRun calls in flight when the run starts, so a lone
-	// run gets one worker per CPU and a run inside an already saturated
-	// sweep replays inline; 1 replays every engine on the interpreting
-	// goroutine; larger values are used as given. Every width is clamped
-	// to the number of coalesced engine classes, and sets below
-	// FanoutThreshold configurations always use one worker. Reports and
-	// recorded traces are bit-identical at every value.
+	// among the runs in flight when the run starts (Run, MultiRun and
+	// trace replay calls alike), so a lone run gets one worker per CPU and
+	// a run inside an already saturated sweep replays inline; 1 replays
+	// every engine on the interpreting goroutine; larger values are used
+	// as given. Every width is clamped to the number of coalesced engine
+	// classes, and sets below FanoutThreshold configurations always use
+	// one worker. Configurations that form one class, as Run's one always
+	// does, feed that engine event by event. Reports and recorded traces
+	// are bit-identical at every value.
 	Parallelism int
 
 	// oracle is nil in production. Tests set it (export_test.go) to run
@@ -86,42 +86,17 @@ func (o *oracle) execute(info *analysis.ModuleInfo, cfg interp.Config, args []in
 }
 
 // Run executes the analyzed module's main function under one configuration
-// and returns the limit-study report. On failure the returned error
-// matches exactly one taxonomy sentinel (ErrStepLimit, ErrMemLimit,
-// ErrDeadline, ErrCanceled, ErrRuntime) under errors.Is; other failures
-// (bad configuration) classify as OutcomeError.
-func Run(info *analysis.ModuleInfo, cfg Config, opts RunOptions) (rep *Report, err error) {
-	if err := cfg.Validate(); err != nil {
+// and returns the limit-study report: what MultiRun returns for that one
+// configuration. On failure the returned error matches exactly one
+// taxonomy sentinel (ErrStepLimit, ErrMemLimit, ErrDeadline, ErrCanceled,
+// ErrRuntime) under errors.Is; other failures (bad configuration, a
+// recovered *PanicError) classify as OutcomeError.
+func Run(info *analysis.ModuleInfo, cfg Config, opts RunOptions) (*Report, error) {
+	reps, err := MultiRun(info, []Config{cfg}, opts)
+	if err != nil {
 		return nil, err
 	}
-	// The interpreter and engine hooks are panic-free by design, but a bug
-	// there must not crash the embedding process (CLI, sweep worker,
-	// fuzzer): convert any escaping panic into a classified *PanicError.
-	defer func() {
-		if r := recover(); r != nil {
-			rep, err = nil, fmt.Errorf("core: %s: %w", info.Mod.Name,
-				&PanicError{Val: r, Stack: string(debug.Stack())})
-		}
-	}()
-	engine := opts.oracle.newEngine(info, cfg)
-	var hooks interp.Hooks = engine
-	tw := traceSink(info, opts)
-	if tw != nil {
-		hooks = &multiHooks{hs: []interp.Hooks{engine, tw}}
-	}
-	err = interpret(info, opts, hooks)
-	if err == nil && tw != nil {
-		if cerr := tw.Close(); cerr != nil {
-			err = fmt.Errorf("core: %s: writing trace: %w", info.Mod.Name, cerr)
-		}
-	}
-	if err == nil {
-		rep = engine.Report(info.Mod.Name)
-	}
-	// A panic never reaches this line, so a panicked run's pages are left
-	// to the GC.
-	engine.sh.release()
-	return rep, err
+	return reps[0], nil
 }
 
 // RunSource compiles LPC source, analyzes it, and runs the limit study —

@@ -45,7 +45,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime/debug"
 	"sync"
 
 	"loopapalooza/internal/analysis"
@@ -622,36 +621,19 @@ func ReplayTrace(name string, info *analysis.ModuleInfo, cfg Config, opts RunOpt
 
 // ReplayTraceMulti decodes a trace once and evaluates every configuration
 // against it — the replay-side equivalent of MultiRun, always on one
-// worker. When the configurations coalesce into one engine class, the
-// decoder feeds that engine's per-event hooks directly, as Run does;
-// otherwise decoded events feed the sealed-chunk producer and every chunk
-// replays inline through the batched tracker path into each class.
-func ReplayTraceMulti(name string, info *analysis.ModuleInfo, cfgs []Config, opts RunOptions, r io.Reader) (reps []*Report, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			reps, err = nil, fmt.Errorf("core: %s: %w", name,
-				&PanicError{Val: p, Stack: string(debug.Stack())})
+// worker and never recording opts.Trace. Every configuration is validated
+// before the trace header is read. When the configurations coalesce into
+// one engine class, the decoder feeds that engine's per-event hooks, as
+// Run does; otherwise decoded events feed the sealed-chunk producer and
+// every chunk replays inline through the batched tracker path into each
+// class.
+func ReplayTraceMulti(name string, info *analysis.ModuleInfo, cfgs []Config, opts RunOptions, r io.Reader) ([]*Report, error) {
+	opts.Parallelism, opts.Trace = 1, nil
+	return evaluate(info, name, cfgs, opts, func(h interp.Hooks) error {
+		tr, err := NewTraceReader(r, info)
+		if err != nil {
+			return err
 		}
-	}()
-	set, err := prepareEngines(info, cfgs, opts.oracle)
-	if err != nil {
-		return nil, err
-	}
-	tr, err := NewTraceReader(r, info)
-	if err != nil {
-		return nil, err // no engine has seen an event, so none holds a page
-	}
-	if len(set.engines) == 1 {
-		err = tr.Replay(set.engines[0])
-	} else {
-		tee := inlineTee(set.engines)
-		if err = tr.Replay(tee); err == nil {
-			tee.finish()
-		}
-	}
-	if err == nil {
-		reps = set.reports(cfgs, name)
-	}
-	set.release()
-	return reps, err
+		return tr.Replay(h)
+	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -30,7 +29,8 @@ type depTracker interface {
 	// region(addr).
 	storeAt(inst *instance, r int, idx int64, addr int64, rec writeRec)
 	// memRun resolves a whole run of mixed load/store records for inst in
-	// ONE call — the batched chunk-replay hot path. Each memEv carries its
+	// ONE call — the hot path of chunk replay, which probes every record
+	// of every memory span once per live instance. Each memEv carries its
 	// kind, region classification, and the clock advance accumulated
 	// inside the run before it (the engine applies the run's total to its
 	// clock afterwards; no other event can occur inside a run).
@@ -47,14 +47,8 @@ type depTracker interface {
 	// (frames pushed after the current iteration began, i.e. addresses
 	// below the iteration-start SP, are iteration-private) into that one
 	// bound so the filter costs a compare here instead of a callback.
-	//
-	// sum, when non-nil, is the span's shared conflict summary
-	// (summarizeSpan of evs). It is purely an optimization hint: the hit
-	// list and every state change MUST be identical to memRun with a nil
-	// summary — implementations may use it only to skip work whose
-	// absence of effect the summary proves.
 	memRun(inst *instance, evs []memEv,
-		iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec, sum *spanSum) int
+		iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec) int
 	// drop discards inst's write set (the instance serialized or exited).
 	drop(inst *instance)
 }
@@ -64,86 +58,6 @@ const (
 	memLoad  uint8 = 0
 	memStore uint8 = 1
 )
-
-// spanSum flag bits.
-const (
-	// sumHasLoad / sumHasStore are the homogeneous-kind markers: a span
-	// without loads never probes, a span without stores never records.
-	sumHasLoad uint8 = 1 << iota
-	sumHasStore
-	// sumSelfConflict is set when some load's dense index falls inside
-	// the index interval of the stores PRECEDING it in the same span —
-	// i.e. the span may read an address it wrote itself. Clear means no
-	// in-span store can satisfy any in-span load, which is what lets the
-	// tracker answer loads from pre-span state alone.
-	sumSelfConflict
-)
-
-// spanSum is the producer-computed conflict summary of one memory span:
-// per-region min/max dense load indices, homogeneous-kind flags, and the
-// self-conflict marker. It is computed ONCE per sealed chunk on the
-// producing goroutine (seal / chunkTee) and consulted read-only by every
-// coalesced engine class before probing, so N classes stop re-probing
-// address runs that provably cannot hit. Summaries live in a flat slice
-// parallel to the chunk's span plan (evChunk.sums); the interval compare
-// against a level's store bounds is three branch-free min/max pairs.
-//
-// The summary is conservative by construction: it is computed without
-// knowledge of any instance's stack-filter bound (spLimit), so the load
-// intervals cover loads the filter would skip, and skipping is only ever
-// based on provable disjointness. Passing a nil or zero summary degrades
-// to the exact unsummarized behavior.
-type spanSum struct {
-	loadMin [3]int64 // per-region min dense load index (MaxInt64 = none)
-	loadMax [3]int64 // per-region max dense load index (MinInt64 = none)
-	flags   uint8
-}
-
-// noIdxMin / noIdxMax are the empty-interval sentinels for index-bound
-// tracking: min starts above every index, max below, so an empty interval
-// can never satisfy min <= idx <= max.
-const (
-	noIdxMin = int64(math.MaxInt64)
-	noIdxMax = int64(math.MinInt64)
-)
-
-// summarizeSpan computes the conflict summary of one memory span. The
-// dense index is a bijection of the address within its region (region()),
-// so interval disjointness over (reg, idx) proves address disjointness —
-// including addresses that land in the overflow maps.
-func summarizeSpan(evs []memEv) spanSum {
-	s := spanSum{
-		loadMin: [3]int64{noIdxMin, noIdxMin, noIdxMin},
-		loadMax: [3]int64{noIdxMax, noIdxMax, noIdxMax},
-	}
-	stMin := [3]int64{noIdxMin, noIdxMin, noIdxMin}
-	stMax := [3]int64{noIdxMax, noIdxMax, noIdxMax}
-	for i := range evs {
-		ev := &evs[i]
-		r, idx := int(ev.reg), ev.idx
-		if ev.kind == memStore {
-			s.flags |= sumHasStore
-			if idx < stMin[r] {
-				stMin[r] = idx
-			}
-			if idx > stMax[r] {
-				stMax[r] = idx
-			}
-			continue
-		}
-		s.flags |= sumHasLoad
-		if idx < s.loadMin[r] {
-			s.loadMin[r] = idx
-		}
-		if idx > s.loadMax[r] {
-			s.loadMax[r] = idx
-		}
-		if idx >= stMin[r] && idx <= stMax[r] {
-			s.flags |= sumSelfConflict
-		}
-	}
-	return s
-}
 
 // memEv is one memory record of a sealed chunk's memory span: the address
 // with its region classification precomputed (reg, idx), the record kind,
@@ -230,15 +144,6 @@ type shadowLevel struct {
 	gen   uint64
 	pages [3][]*shadowPage // page directory per region, indexed by offset>>pageShift
 	over  map[int64]shadowRec
-
-	// stMin/stMax bound the dense indices of every write recorded in the
-	// CURRENT generation, per region (flat and overflow alike — the dense
-	// index is a bijection of the address, so the interval is meaningful
-	// for both). A memory span whose load-index intervals are disjoint
-	// from these bounds provably cannot hit, which is what the spanSum
-	// fast paths in memRun test. The bounds only ever widen within a
-	// generation; bump resets them to the empty interval.
-	stMin, stMax [3]int64
 }
 
 // bump starts a new generation, invalidating every record the previous
@@ -250,29 +155,6 @@ func (lvl *shadowLevel) bump() {
 	if len(lvl.over) > overflowPruneLimit {
 		clear(lvl.over)
 	}
-	lvl.stMin = [3]int64{noIdxMin, noIdxMin, noIdxMin}
-	lvl.stMax = [3]int64{noIdxMax, noIdxMax, noIdxMax}
-}
-
-// note records a write at (r, idx) in the level's store bounds.
-func (lvl *shadowLevel) note(r int, idx int64) {
-	if idx < lvl.stMin[r] {
-		lvl.stMin[r] = idx
-	}
-	if idx > lvl.stMax[r] {
-		lvl.stMax[r] = idx
-	}
-}
-
-// disjoint reports whether the span's per-region load intervals are
-// provably disjoint from every write recorded this generation.
-func (lvl *shadowLevel) disjoint(sum *spanSum) bool {
-	for r := 0; r < 3; r++ {
-		if sum.loadMax[r] >= lvl.stMin[r] && sum.loadMin[r] <= lvl.stMax[r] {
-			return false
-		}
-	}
-	return true
 }
 
 // page returns the page holding flat offset idx of region r, or nil before
@@ -386,7 +268,6 @@ func (t *shadowTracker) loadAt(inst *instance, r int, idx int64, addr int64) (wr
 
 func (t *shadowTracker) storeAt(inst *instance, r int, idx int64, addr int64, rec writeRec) {
 	lvl := t.levels[inst.depth]
-	lvl.note(r, idx)
 	if uint64(idx) >= uint64(t.caps[r]) {
 		if lvl.over == nil {
 			lvl.over = map[int64]shadowRec{}
@@ -407,27 +288,9 @@ func (t *shadowTracker) storeAt(inst *instance, r int, idx int64, addr int64, re
 // case — a flat store, or a flat load missing on a stale generation —
 // costs one cap compare, one directory index and one stamp access. Thanks
 // to the SoA page layout, a miss touches only the 8-byte stamp.
-//
-// When the span's shared summary proves its loads cannot hit — the span is
-// self-conflict-free and its load-index intervals are disjoint from every
-// write this generation recorded — the whole probe side is skipped: a
-// load-only span returns immediately, a mixed span falls to storeRun. The
-// result (hit list, recorded state) is identical to the unsummarized walk;
-// the differential property harness pins that equivalence.
 func (t *shadowTracker) memRun(inst *instance, evs []memEv,
-	iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec, sum *spanSum) int {
+	iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec) int {
 	lvl := t.levels[inst.depth]
-	if sum != nil {
-		if sum.flags&sumHasLoad == 0 {
-			return t.storeRun(lvl, evs, iter, offBase, spLimit)
-		}
-		if sum.flags&sumSelfConflict == 0 && lvl.disjoint(sum) {
-			if sum.flags&sumHasStore == 0 {
-				return 0 // pure loads, provably no recorded write in range
-			}
-			return t.storeRun(lvl, evs, iter, offBase, spLimit)
-		}
-	}
 	gen := lvl.gen
 	nh := 0
 	for i := range evs {
@@ -439,7 +302,6 @@ func (t *shadowTracker) memRun(inst *instance, evs []memEv,
 		}
 		flat := uint64(idx) < uint64(t.caps[r])
 		if ev.kind == memStore {
-			lvl.note(r, idx)
 			rec := writeRec{iter: iter, off: offBase + ev.tick}
 			if !flat {
 				if lvl.over == nil {
@@ -474,41 +336,4 @@ func (t *shadowTracker) memRun(inst *instance, evs []memEv,
 		nh++
 	}
 	return nh
-}
-
-// storeRun is memRun restricted to the span's stores: taken when the
-// shared span summary proves no load of the span can hit (or the span has
-// none), so the probe side — generation compares, overflow lookups, hit
-// bookkeeping — vanishes and only the recording writes remain. Loads cost
-// a single predictable branch.
-func (t *shadowTracker) storeRun(lvl *shadowLevel, evs []memEv,
-	iter, offBase, spLimit int64) int {
-	gen := lvl.gen
-	for i := range evs {
-		ev := &evs[i]
-		if ev.kind != memStore {
-			continue
-		}
-		r := int(ev.reg)
-		if r == regStack && ev.addr < spLimit {
-			continue
-		}
-		idx := ev.idx
-		lvl.note(r, idx)
-		rec := writeRec{iter: iter, off: offBase + ev.tick}
-		if uint64(idx) >= uint64(t.caps[r]) {
-			if lvl.over == nil {
-				lvl.over = map[int64]shadowRec{}
-			}
-			lvl.over[ev.addr] = shadowRec{gen: gen, writeRec: rec}
-			continue
-		}
-		pg := lvl.page(r, idx)
-		if pg == nil {
-			pg = t.touch(lvl, r, idx)
-		}
-		pg.gens[idx&pageMask] = gen
-		pg.recs[idx&pageMask] = rec
-	}
-	return 0
 }

@@ -183,17 +183,8 @@ func runTrackerDiff(tb testing.TB, ops []byte) {
 				// [spLimit, StackTop) are tracked, below it skipped.
 				spLimit = int64(interp.StackTop) - 1 - int64(fam)
 			}
-			// Two of three spans run through the shared span summary
-			// (exercising the skip and store-only fast paths), one without
-			// — the oracle ignores the summary either way, so a divergence
-			// convicts the summary logic specifically.
-			var sum *spanSum
-			if off%3 != 0 {
-				s := summarizeSpan(evs)
-				sum = &s
-			}
-			ns := sh.memRun(shInst[d], evs, iter, offBase, spLimit, shIdx, shRec, sum)
-			nm := mp.memRun(mpInst[d], evs, iter, offBase, spLimit, mpIdx, mpRec, sum)
+			ns := sh.memRun(shInst[d], evs, iter, offBase, spLimit, shIdx, shRec)
+			nm := mp.memRun(mpInst[d], evs, iter, offBase, spLimit, mpIdx, mpRec)
 			if ns != nm {
 				tb.Fatalf("step %d: memRun(depth %d, %d evs) hit count diverged: shadow %d vs map %d",
 					step, d, len(evs), ns, nm)

@@ -72,8 +72,9 @@ type LCDObs struct {
 // canonical copiers are core's fan-out producer (which copies each event's
 // payload once into a sealed chunk, so engines — inline or on pool
 // workers — can alias it safely) and core.TraceWriter (which copies by
-// encoding); everything else, including core.Engine on the per-config Run
-// path, consumes in place without copying.
+// encoding); everything else, including core.Engine fed event by event
+// when a run's configurations form one engine class, consumes in place
+// without copying.
 type Hooks interface {
 	// Tick advances the dynamic IR instruction counter by n. Ticks are
 	// batched: the interpreter may deliver several instructions' worth in

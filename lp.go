@@ -90,9 +90,10 @@ func Analyze(name, src string) (*ModuleInfo, error) {
 // run: MaxSteps (dynamic instruction budget), Timeout / Ctx (wall-clock
 // and cooperative cancellation), MaxHeapCells (simulated heap budget),
 // Out (program output), Trace (event-trace sink) and Parallelism
-// (StudyMany's fan-out width: 0 shares GOMAXPROCS among the multi-config
-// runs in flight, 1 replays every configuration on the calling
-// goroutine; reports are bit-identical at every width). Every run
+// (StudyMany's fan-out width: 0 shares GOMAXPROCS among the runs in
+// flight, single-config ones and trace replays included, 1 replays every
+// configuration on the calling goroutine; reports are bit-identical at
+// every width). Every run
 // executes on the bytecode VM with the shadow-memory dependence tracker;
 // there is no engine or tracker to choose.
 type RunOptions = core.RunOptions
