@@ -68,7 +68,11 @@ benchsmoke:
 
 # The differential matrix (engine x tracker x Run/MultiRun width/replay,
 # internal/core TestDifferentialMatrix) under both a single-core and the
-# default scheduler, which must produce bit-identical reports. GOMAXPROCS
+# default scheduler, which must produce bit-identical reports. A run whose
+# configurations form several engine classes finds its memory conflicts
+# once, in one run tracker on the producing goroutine, and every class
+# applies those facts from the shared sealed chunks; under the matrix's
+# map tracker the run tracker stores into the map oracle. GOMAXPROCS
 # does not set the auto width alone: Parallelism 0 shares GOMAXPROCS
 # among the runs in flight, so a concurrent sweep's width-0 runs mostly
 # replay inline on any box. The matrix's explicit widths
@@ -138,7 +142,7 @@ vuln:
 # end-to-end sweep, parallel vs serial vs auto-width sub-benchmarks, the
 # paper-grid fan-out sweep, trace replay of every kernel with its
 # trace-size census, plus the bytecode compiler's opcode-mix census) and
-# the root VM and value-predictor benchmarks, rendered to BENCH_PR18.json
+# the root VM and value-predictor benchmarks, rendered to BENCH_PR19.json
 # with the speedup-ratio tables and the measuring box's CPU count. Earlier
 # BENCH_PR*.json files are checked-in baselines; benchsmoke gates against
 # the newest.
@@ -146,7 +150,7 @@ bench:
 	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|BytecodeLowering|TraceReplay' \
 		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench | tee bench.out
 	$(GO) test -run='^$$' -bench='^Benchmark(Interpreter|Predictors)$$' -benchmem -count=1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR18.json bench.out
+	$(GO) run ./cmd/benchjson -o BENCH_PR19.json bench.out
 	rm -f bench.out
 
 figures:

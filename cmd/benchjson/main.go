@@ -1,5 +1,5 @@
 // Command benchjson converts `go test -bench` output into a
-// machine-readable JSON summary (BENCH_PR18.json). It parses every
+// machine-readable JSON summary (BENCH_PR19.json). It parses every
 // benchmark line, keeps all reported metrics (ns/op, B/op, allocs/op,
 // and custom metrics like instrs/sec or trace-bytes), records the
 // measuring box's CPU count, and derives these ratio tables:

@@ -42,7 +42,9 @@ type VM struct {
 
 	// initErr defers module-shape faults found during NewVM (which cannot
 	// fail) to the first Run call, like interp.New.
-	initErr     error
+	initErr error
+	// globalImage is the initialized global segment Reset restores,
+	// built on the first Reset: a VM that runs once never needs it.
 	globalImage []interp.Val
 
 	// Zero-allocation steady state: frames pool, scratch event buffers,
@@ -111,22 +113,25 @@ func NewVM(p *Program, cfg interp.Config) *VM {
 		}
 		total += g.Size
 	}
-	img := make([]interp.Val, total)
+	vm.mem = interp.NewMemory(total, cfg.MaxHeapCells)
+	p.initGlobals(vm.mem.SetGlobal)
+	return vm
+}
+
+// initGlobals calls set for every initialized cell of the global segment,
+// by offset from GlobalBase.
+func (p *Program) initGlobals(set func(i int64, v interp.Val)) {
 	base := int64(0)
 	for _, g := range p.mod.Globals {
 		k := g.Elem.Kind()
 		for i, v := range g.InitInt {
-			img[base+int64(i)] = interp.Val{K: k, I: v}
+			set(base+int64(i), interp.Val{K: k, I: v})
 		}
 		for i, v := range g.InitFloat {
-			img[base+int64(i)] = interp.FloatVal(v)
+			set(base+int64(i), interp.FloatVal(v))
 		}
 		base += g.Size
 	}
-	vm.globalImage = img
-	vm.mem = interp.NewMemory(total, cfg.MaxHeapCells)
-	vm.mem.Reset(img)
-	return vm
 }
 
 // Reset returns the VM to its initial state, keeping the pooled frames,
@@ -141,9 +146,19 @@ func (vm *VM) Reset() {
 		vm.nextPoll = math.MaxInt64
 	}
 	vm.checkAt = min(vm.limitAt, vm.nextPoll)
-	if vm.initErr == nil {
-		vm.mem.Reset(vm.globalImage)
+	if vm.initErr != nil {
+		return
 	}
+	if vm.globalImage == nil {
+		size := int64(0)
+		for _, g := range vm.prog.mod.Globals {
+			size += g.Size
+		}
+		img := make([]interp.Val, size)
+		vm.prog.initGlobals(func(i int64, v interp.Val) { img[i] = v })
+		vm.globalImage = img
+	}
+	vm.mem.Reset(vm.globalImage)
 }
 
 // Clock returns the current dynamic instruction count.

@@ -483,7 +483,9 @@ func (c *Coordinator) Submit(tenant string, benches []*bench.Benchmark, cfgs []c
 	}
 	// Journal-first: the admission is durable before any state mutates,
 	// so an acked job id survives a crash and a refused one leaves no
-	// trace to replay.
+	// trace to replay. Compaction waits until the job is in c.jobs: a
+	// snapshot taken before would omit the job while discarding its admit
+	// record.
 	if c.wal != nil {
 		names := make([]string, len(benches))
 		for i, b := range benches {
@@ -492,7 +494,7 @@ func (c *Coordinator) Submit(tenant string, benches []*bench.Benchmark, cfgs []c
 		c.journalLocked(walRec{K: "admit", Job: j.id, Tenant: tenant,
 			Include: includeReports, Created: now.UnixNano(),
 			Benches: names, Cfgs: cfgs})
-		if err := c.flushLocked(); err != nil {
+		if err := c.syncLocked(); err != nil {
 			c.jobSeq--
 			return "", fmt.Errorf("cluster: journaling admission: %w", err)
 		}
@@ -506,6 +508,7 @@ func (c *Coordinator) Submit(tenant string, benches []*bench.Benchmark, cfgs []c
 	}
 	c.jobs[j.id] = j
 	ts.activeJobs++
+	c.compactDueLocked()
 	return j.id, nil
 }
 

@@ -203,7 +203,19 @@ func (c *Coordinator) journalCellLocked(kind string, rec *cellRec, outcome core.
 // flushLocked makes every journaled record durable, compacting when the
 // journal has outgrown the snapshot threshold. The sync error (if any)
 // propagates so the caller can refuse to ack an unpersisted transition.
+// A caller that applies its transition only after the journal is durable
+// calls syncLocked, applies it, then compactDueLocked, so a compaction
+// never snapshots the state without it.
 func (c *Coordinator) flushLocked() error {
+	if err := c.syncLocked(); err != nil {
+		return err
+	}
+	c.compactDueLocked()
+	return nil
+}
+
+// syncLocked makes every journaled record durable.
+func (c *Coordinator) syncLocked() error {
 	if c.wal == nil || !c.walDirty {
 		return nil
 	}
@@ -219,10 +231,15 @@ func (c *Coordinator) flushLocked() error {
 		c.wal = nil
 		return err
 	}
-	if c.recSinceSnap >= c.opts.CompactEvery {
+	return nil
+}
+
+// compactDueLocked compacts once the journal has outgrown the snapshot
+// threshold.
+func (c *Coordinator) compactDueLocked() {
+	if c.wal != nil && c.recSinceSnap >= c.opts.CompactEvery {
 		c.compactLocked()
 	}
-	return nil
 }
 
 // flushBestEffortLocked flushes where an error must not fail the caller

@@ -243,6 +243,36 @@ func TestRecoverFromSnapshotAfterCompaction(t *testing.T) {
 	}
 }
 
+// TestRecoverAdmissionCompactedOnSubmit: with CompactEvery 1, the flush
+// that makes an admission durable is also due to compact. The snapshot it
+// writes must hold the admitted job, since compaction discards the admit
+// record: an acknowledged job must survive a crash right after Submit.
+func TestRecoverAdmissionCompactedOnSubmit(t *testing.T) {
+	dir := t.TempDir()
+	clk := newFakeClock()
+	opts := CoordinatorOptions{CompactEvery: 1}
+	c := openTestCoordinator(t, dir, clk, opts)
+	b, cfgs := testBench(t)
+	id, err := c.Submit("acme", []*bench.Benchmark{b}, cfgs, false)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if c.WALStats().Compactions == 0 {
+		t.Fatal("the admission did not compact despite CompactEvery=1")
+	}
+	c.Crash()
+
+	c2 := openTestCoordinator(t, dir, clk, opts)
+	defer c2.Close()
+	st, err := c2.Status(id)
+	if err != nil || st.State != JobQueued || st.Total != len(cfgs) {
+		t.Fatalf("recovered job: %+v, %v; want %d queued cells", st, err, len(cfgs))
+	}
+	if err := c2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecoverRetryingExposedInStatus(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()

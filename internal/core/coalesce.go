@@ -80,12 +80,15 @@ func classOf(info *analysis.ModuleInfo, cfg Config) configClass {
 // distinct behavior class, plus the configuration-to-engine assignment.
 type engineSet struct {
 	engines []*Engine
-	assign  []int // cfgs index → engines index
+	assign  []int       // cfgs index → engines index
+	run     *runTracker // the classes' shared tracker, when there are several
 }
 
 // prepareEngines validates every configuration and builds one engine per
-// behavior class, assigning each configuration to its class representative.
-func prepareEngines(info *analysis.ModuleInfo, cfgs []Config, o *oracle) (*engineSet, error) {
+// behavior class, assigning each configuration to its class
+// representative. The engines have no dependence tracker yet: perEvent or
+// shareTracker picks how they find conflicts.
+func prepareEngines(info *analysis.ModuleInfo, cfgs []Config) (*engineSet, error) {
 	s := &engineSet{assign: make([]int, len(cfgs))}
 	classes := map[configClass]int{}
 	for i, cfg := range cfgs {
@@ -99,9 +102,30 @@ func prepareEngines(info *analysis.ModuleInfo, cfgs []Config, o *oracle) (*engin
 		}
 		classes[cl] = len(s.engines)
 		s.assign[i] = len(s.engines)
-		s.engines = append(s.engines, o.newEngine(info, cfg))
+		s.engines = append(s.engines, newEngine(info, cfg, nil))
 	}
 	return s, nil
+}
+
+// perEvent readies a one-class run: its engine gets its own depTracker, to
+// be fed event by event.
+func (s *engineSet) perEvent(info *analysis.ModuleInfo, o *oracle) *Engine {
+	e := s.engines[0]
+	e.tr = o.newTracker(info)
+	return e
+}
+
+// shareTracker readies a multi-class run: one runTracker finds the
+// conflicts of every class, and each HELIX class logs its savings to read
+// the tracker's raw write offsets on its own adjusted clock.
+func (s *engineSet) shareTracker(info *analysis.ModuleInfo, o *oracle) *runTracker {
+	for _, e := range s.engines {
+		if e.cfg.Model == HELIX {
+			e.log = &savingsLog{}
+		}
+	}
+	s.run = newRunTracker(s.engines, o.newStore(info))
+	return s.run
 }
 
 // reports finalizes one report per configuration. Members of a shared
@@ -117,12 +141,20 @@ func (s *engineSet) reports(cfgs []Config, name string) []*Report {
 	return out
 }
 
-// release returns every engine's shadow pages for reuse by later runs.
-// Call it once no engine can see another event, after the reports are
-// derived or the run has failed; after a recovered panic the pages are
-// left to the GC instead.
+// release returns the run's shadow pages and savings-log blocks for reuse
+// by later runs. Call it once no engine or pool worker can see another
+// event, after the reports are derived or the run has failed; after a
+// recovered panic they are left to the GC instead.
 func (s *engineSet) release() {
+	if s.run != nil {
+		s.run.store.release()
+	}
 	for _, e := range s.engines {
-		e.sh.release()
+		if e.tr != nil {
+			e.tr.release()
+		}
+		if e.log != nil {
+			e.log.release()
+		}
 	}
 }

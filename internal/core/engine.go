@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sync"
+
 	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/interp"
 	"loopapalooza/internal/predict"
@@ -19,17 +21,15 @@ import (
 // bottom-up cost propagation, and SWARM/T4-style multi-level nested
 // parallelism, realized online.
 //
-// Dependence storage lives behind a depTracker: the shadow memory (paged
-// generation-stamped tables), or in tests the per-instance map tracker it
-// is checked against.
+// An engine fed event by event finds memory conflicts itself, in a
+// depTracker: the shadow memory (paged generation-stamped tables), or in
+// tests the map tracker it is checked against. An engine class of a
+// multi-class run has no tracker; it applies the facts its run's
+// runTracker found (facts.go).
 type Engine struct {
 	info *analysis.ModuleInfo
 	cfg  Config
-	tr   depTracker
-	// sh is tr when it is the shadow tracker, letting the batched hot path
-	// (memSpan) make a direct call instead of an interface dispatch; nil
-	// under a test's map tracker.
-	sh   *shadowTracker
+	tr   depTracker // nil on the fact route
 	plan evalPlan
 
 	clock   int64 // serial time: dynamic IR instructions
@@ -50,11 +50,11 @@ type Engine struct {
 
 	freeInsts []*instance // instance pool
 
-	// Scratch buffers for the batched chunk-replay path (memSpan): load
-	// hits collected by depTracker.memRun, sized to the longest run seen
-	// and reused across runs and chunks.
-	hitIdx  []int32
-	hitRecs []writeRec
+	// ord counts the loop events a chunk replay has applied: the ordinals
+	// the run tracker stamps on writes. log is a HELIX class's savings by
+	// ordinal on the fact route, and nil otherwise.
+	ord int64
+	log *savingsLog
 }
 
 // evalPlan is the per-configuration compiled event evaluator: which event
@@ -65,7 +65,7 @@ type Engine struct {
 type evalPlan struct {
 	// obsLive: IterLoop observations matter (Dep != 0). Under dep0 the
 	// observation loop is dead code — no predictors exist and no register
-	// LCD is synchronized — so the batched path passes a nil obs slice.
+	// LCD is synchronized — so chunk replay passes a nil obs slice.
 	obsLive bool
 	// initLive: EnterLoop init values train predictors (Dep 2 or 3).
 	// Otherwise LoopStat.preds is nil and the init slice is never read.
@@ -189,7 +189,6 @@ func newEngine(info *analysis.ModuleInfo, cfg Config, tr depTracker) *Engine {
 			initLive: cfg.Dep == 2 || cfg.Dep == 3,
 		},
 	}
-	e.sh, _ = e.tr.(*shadowTracker)
 	e.statSeq = make([]*LoopStat, len(info.Loops))
 	for _, lm := range info.Loops {
 		st := e.newStat(lm)
@@ -330,7 +329,9 @@ func (e *Engine) EnterLoop(lm *analysis.LoopMeta, sp int64, init []interp.Val) {
 		inst.enterAdj, inst.enterSerial = now, ser
 		inst.iterStartAdj, inst.iterStartSerial = now, ser
 		inst.iterStartSP = sp
-		e.tr.enter(inst)
+		if e.tr != nil {
+			e.tr.enter(inst.depth)
+		}
 		inst.liveIdx = len(e.live)
 		e.live = append(e.live, inst)
 		// Train predictors on the live-in values (iteration 0 values
@@ -503,7 +504,9 @@ func (e *Engine) ExitLoop(lm *analysis.LoopMeta) {
 		}
 		st.SerialTicks += ser - inst.enterSerial
 		e.unlive(inst)
-		e.tr.drop(inst)
+		if e.log != nil {
+			e.log.exit(e.ord, e.savings, len(e.live) == 0)
+		}
 	} else {
 		// Untracked instances were measured by an enclosing tracked
 		// instance (or by nobody); they only forward covered ticks.
@@ -539,7 +542,7 @@ func (e *Engine) Load(addr int64) {
 			// this iteration began are iteration-private.
 			continue
 		}
-		rec, ok := e.tr.loadAt(inst, r, ri, addr)
+		rec, ok := e.tr.load(inst.depth, r, ri, addr)
 		if !ok {
 			continue
 		}
@@ -579,7 +582,6 @@ func (e *Engine) memConflict(inst *instance, rec writeRec, c int64) {
 			inst.conflictIters++
 		}
 		e.unlive(inst)
-		e.tr.drop(inst)
 	case PDOALL:
 		if inst.curIterConflicted {
 			return
@@ -634,57 +636,139 @@ func (e *Engine) Store(addr int64) {
 		if onStack && addr < inst.iterStartSP {
 			continue
 		}
-		e.tr.storeAt(inst, r, ri, addr, writeRec{iter: inst.iters, off: now - inst.iterStartAdj})
+		e.tr.store(inst.depth, r, ri, addr, writeRec{iter: inst.iters, off: now - inst.iterStartAdj})
 	}
 }
 
-// memSpan applies one run of mixed load/store/tick records — a sealed
-// chunk's memory span — through the batched tracker path. A run whose
-// configurations coalesce into more than one engine class replays every
-// memory span this way; a one-class run feeds Load and Store instead.
+// applyFacts applies one memory span's facts, the run tracker's
+// cross-iteration load hits, at the levels where this class's instance is
+// live, in the tracker's order: level by level, records in order within a
+// level. That is the order the per-event route meets them in for any one
+// instance, and instances share no policy state. A DOALL conflict unlives
+// its instance, so the rest of that level's facts are skipped, as
+// per-event dispatch would stop probing for it.
 //
-// The run is processed instance-major: each live instance resolves the
-// whole run in ONE depTracker.memRun call, then the engine applies the RAW
-// policy to the (rare) load hits in record order. This is bit-identical to
-// the per-event walk because, between loop events, there is no data flow
-// between instances: loads are pure, stores touch only the instance's own
-// write set, conflicts mutate only the conflicting instance, and the clock
-// evolution inside the run is data-independent (evs[i].tick is the exact
-// clock advance before record i, and savings cannot change inside a run).
-// Per-instance policy state (phaseFirstIter, curIterConflicted) is read
-// and written in the same record order as per-event dispatch.
-//
-// A DOALL conflict serializes the instance mid-run; per-event dispatch
-// would stop consulting the tracker for it, so the policy loop stops
-// applying hits (the tracker already resolved the whole run, but its state
-// for a dropped instance is invalidated by the next generation bump, and
-// the discarded hits match exactly what per-event dispatch never saw).
-func (e *Engine) memSpan(evs []memEv) {
-	if len(e.live) == 0 {
+// Only HELIX reads the write's and the load's offsets. Its write offset on
+// the adjusted clock is the raw offset less the savings this class made
+// between the iteration's start and the write; savings cannot change
+// inside the span, so the load's offset is the span's start offset plus
+// the record's tick.
+func (e *Engine) applyFacts(evs []memEv, facts []fact) {
+	adj0 := e.adj()
+	for i := range facts {
+		f := &facts[i]
+		inst := e.stack[f.level]
+		if inst.liveIdx < 0 {
+			continue
+		}
+		rec, c := writeRec{iter: f.rec.iter}, int64(0)
+		if e.log != nil {
+			rec.off = f.rec.raw - e.log.between(f.rec.start, f.rec.ord)
+			c = adj0 - inst.iterStartAdj + evs[f.mem].tick
+		}
+		e.loadHit(inst, rec, c)
+	}
+}
+
+// savingsLog maps loop-event ordinals to a class's cumulative savings:
+// one entry per tracked exit that changed them, appended in event order.
+// Ordinals, not clock values, key it: an exit and a write can share a
+// clock value, but the write's ordinal still tells whether it came after
+// the exit.
+// A fact's writer iteration began while the fact's instance was live, and
+// the instance has stayed live since, so the log only reaches back to the
+// class's last moment with no live instance, where it starts over. Entries
+// sit in fixed blocks, drawn from savingsBlocks and kept across restarts,
+// so the log never regrows.
+type savingsLog struct {
+	base   int64 // savings when the log last started over
+	blocks []*[savingsBlock]savingsEnt
+	n      int
+	// from and fromIdx memoize between's search for its from ordinal,
+	// which consecutive facts mostly share (about two thirds of them on
+	// the paper grid). Later entries are past from too, so the index
+	// holds until the log starts over; ordinals start at 1, so from 0
+	// matches no query.
+	from    int64
+	fromIdx int
+}
+
+// savingsBlock is the entry count of one savingsLog block (4 KiB).
+const savingsBlock = 256
+
+// savingsBlocks recycles savingsLog blocks across runs.
+var savingsBlocks = sync.Pool{New: func() any { return new([savingsBlock]savingsEnt) }}
+
+// savingsEnt: savings after the exit with loop-event ordinal ord.
+type savingsEnt struct{ ord, savings int64 }
+
+func (l *savingsLog) ent(i int) *savingsEnt { return &l.blocks[i/savingsBlock][i%savingsBlock] }
+
+// exit records a tracked instance's exit, the loop event with ordinal
+// ord, that left the class with savings and, when idle, no live instance.
+func (l *savingsLog) exit(ord, savings int64, idle bool) {
+	if idle {
+		l.base, l.n, l.from = savings, 0, 0
 		return
 	}
-	if cap(e.hitIdx) < len(evs) {
-		e.hitIdx = make([]int32, len(evs))
-		e.hitRecs = make([]writeRec, len(evs))
+	last := l.base
+	if l.n > 0 {
+		last = l.ent(l.n - 1).savings
 	}
-	hitIdx, hitRecs := e.hitIdx, e.hitRecs
-	adj0 := e.adj()
-	for li := len(e.live) - 1; li >= 0; li-- {
-		inst := e.live[li]
-		offBase := adj0 - inst.iterStartAdj
-		var nh int
-		if sh := e.sh; sh != nil { // direct call on the shadow tracker
-			nh = sh.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs)
+	if savings == last {
+		return
+	}
+	if l.n == len(l.blocks)*savingsBlock {
+		l.blocks = append(l.blocks, savingsBlocks.Get().(*[savingsBlock]savingsEnt))
+	}
+	*l.ent(l.n) = savingsEnt{ord, savings}
+	l.n++
+}
+
+// after returns the index of the first entry past loop event ord among
+// the entries [lo, hi), given that the entry at hi, if any, is past it.
+func (l *savingsLog) after(lo, hi int, ord int64) int {
+	for lo < hi {
+		if m := int(uint(lo+hi) >> 1); l.ent(m).ord <= ord {
+			lo = m + 1
 		} else {
-			nh = e.tr.memRun(inst, evs, inst.iters, offBase, inst.iterStartSP, hitIdx, hitRecs)
-		}
-		for h := 0; h < nh; h++ {
-			e.loadHit(inst, hitRecs[h], offBase+evs[hitIdx[h]].tick)
-			if inst.liveIdx < 0 {
-				break
-			}
+			hi = m
 		}
 	}
+	return lo
+}
+
+// release returns the log's blocks to savingsBlocks. Call it once, after
+// the engine's last event.
+func (l *savingsLog) release() {
+	for _, b := range l.blocks {
+		savingsBlocks.Put(b)
+	}
+	l.blocks, l.n = nil, 0
+}
+
+// between returns the savings made after loop event from and up to loop
+// event to.
+func (l *savingsLog) between(from, to int64) int64 {
+	if from != l.from {
+		l.from, l.fromIdx = from, l.after(0, l.n, from)
+	}
+	i := l.fromIdx
+	// A fact's write lies in the iteration that began at from, so few
+	// entries, if any, lie between the two: gallop forward from i.
+	lo, hi := i, i
+	for step := 1; hi < l.n && l.ent(hi).ord <= to; step *= 2 {
+		lo, hi = hi+1, min(hi+step, l.n)
+	}
+	return l.upTo(l.after(lo, hi, to)) - l.upTo(i)
+}
+
+// upTo returns the savings after the log's first n entries.
+func (l *savingsLog) upTo(n int) int64 {
+	if n == 0 {
+		return l.base
+	}
+	return l.ent(n - 1).savings
 }
 
 // SerialCost returns the total dynamic IR instruction count (serial time).

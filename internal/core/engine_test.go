@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -425,5 +426,38 @@ func TestPredictorsBuiltOnFirstTrackedEntry(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: report differs from the one with predictors built up front:\n got %+v\nwant %+v", cfg, got, want)
 		}
+	}
+}
+
+// TestSavingsLog checks the savings log against a plain list of every
+// exit's savings: random busy stretches, each long enough to span several
+// blocks and ended by an idle exit that starts the log over, must answer
+// every ordinal range inside the stretch as the savings made in it.
+func TestSavingsLog(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	var l savingsLog
+	defer l.release()
+	ord, savings := int64(0), int64(0)
+	for stretch := 0; stretch < 4; stretch++ {
+		first := ord           // the stretch starts after this loop event
+		at := []int64{savings} // at[k]: savings after loop event first+k
+		for n := savingsBlock + rng.Intn(3*savingsBlock); n > 0; n-- {
+			ord++
+			if rng.Intn(3) == 0 { // an exit; some save nothing
+				savings += int64(rng.Intn(2) * rng.Intn(50))
+				l.exit(ord, savings, false)
+			}
+			at = append(at, savings)
+		}
+		for q := 0; q < 500; q++ {
+			from := rng.Int63n(int64(len(at)))
+			to := from + rng.Int63n(int64(len(at))-from)
+			if got, want := l.between(first+from, first+to), at[to]-at[from]; got != want {
+				t.Fatalf("stretch %d: between(%d, %d) = %d, want %d", stretch, first+from, first+to, got, want)
+			}
+		}
+		ord++
+		savings += int64(rng.Intn(50))
+		l.exit(ord, savings, true) // the last live instance exits
 	}
 }

@@ -15,16 +15,18 @@ package core
 // derives the reports. The consumer is chosen by the class count:
 //
 //   - One class, which every Run is: the producer calls that engine's own
-//     interp.Hooks, event by event.
+//     interp.Hooks, event by event, and the engine probes its own
+//     depTracker at every load and store.
 //   - More classes: the producer (chunkTee) builds each chunk's SEALED
-//     batched-replay plan at write time. Every load/store address is
-//     classified into its shadow region once, and the records are
-//     partitioned into loop-event singletons and memory spans: maximal
-//     stretches of loads, stores, and interleaved ticks, with each
-//     record's intra-span clock offset precomputed and ticks folded into
-//     the span. The plan is shared read-only by every engine class, so
-//     the classes split the classification cost; each feeds whole spans
-//     to the tracker's batched memRun method (Engine.replayChunkBatched).
+//     replay plan at write time. Every load/store address is classified
+//     into its shadow region once, and the records are partitioned into
+//     loop-event singletons and memory spans: maximal stretches of loads,
+//     stores, and interleaved ticks, with each record's intra-span clock
+//     offset precomputed and ticks folded into the span. The run's one
+//     runTracker then scans the chunk and attaches each memory span's
+//     conflict facts (facts.go). The chunk is shared read-only by every
+//     engine class; each replays its loop events and applies the facts
+//     (Engine.replayChunk), and none probes memory.
 //
 // The chunks replay on w workers, w = min(Parallelism resolved, coalesced
 // classes); w is 1 below FanoutThreshold configurations and for trace
@@ -38,10 +40,9 @@ package core
 //   - w > 1: each full chunk is reference-counted and published to one
 //     buffered channel per worker of the class-affinity pool. Each worker
 //     owns a fixed round-robin subset of the coalesced engine classes (a
-//     class — and therefore its core-local shadow tracker — never
-//     migrates, so no locks guard the SoA level slices) and replays every
-//     chunk into them in group order; the last worker to finish returns
-//     the chunk to a free list of at most fanoutChunks chunks.
+//     class never migrates, so no locks guard its state) and replays
+//     every chunk into them in group order; the last worker to finish
+//     returns the chunk to a free list of at most fanoutChunks chunks.
 //
 // Copying the interpreter's scratch payloads (EnterLoop init values,
 // IterLoop observations) into the chunk's flat arrays is the one copy of
@@ -135,28 +136,30 @@ type evRec struct {
 // that the chunks chunkPool keeps between runs hold little memory.
 const chunkRecs = 1024
 
-// evChunk is one sealed batch of events: the replay plan plus the copied
-// payloads, shared by every engine class of a multi-class run. Consumers
-// read it strictly read-only; refs counts the pool workers that have not
-// released it.
+// evChunk is one sealed batch of events: the replay plan, the copied
+// payloads and the run tracker's facts, shared by every engine class of a
+// multi-class run. Consumers read it strictly read-only; refs counts the
+// pool workers that have not released it.
 type evChunk struct {
 	// The chunk's partition into spans; the loop-event records the
-	// singleton spans address; and the dense memory-record array the
-	// memory spans index (kind, region classification, and intra-span
-	// tick offsets, in record order), which every class probes itself.
+	// singleton spans address; the dense memory-record array the memory
+	// spans index (kind, region classification, and intra-span tick
+	// offsets, in record order); and the memory spans' facts.
 	spans []runSpan
 	recs  []evRec
 	mem   []memEv
+	facts []fact
 	vals  []interp.Val
 	obs   []interp.LCDObs
 	refs  atomic.Int32
 }
 
-// newChunk returns an empty chunk. Only the memory-record array, which
-// holds most of nearly every chunk, is sized up front; the rest grow to
-// what the program uses.
+// newChunk returns an empty chunk. The memory records, which hold most of
+// nearly every chunk, and the facts are sized up front, a fact per record:
+// across the paper grid a chunk carries at most 821 facts, so the array
+// does not regrow. The rest grow to what the program uses.
 func newChunk() *evChunk {
-	return &evChunk{mem: make([]memEv, 0, chunkRecs)}
+	return &evChunk{mem: make([]memEv, 0, chunkRecs), facts: make([]fact, 0, chunkRecs)}
 }
 
 // chunkPool recycles the producer's chunk, grown arrays included, across
@@ -177,12 +180,14 @@ func getChunk() *evChunk {
 // runSpan is one element of a sealed chunk's replay plan. Loop events
 // (enter/iter/exit) are singleton spans addressing recs[rec]; everything
 // between them — loads, stores, and the ticks interleaved with them — is
-// one memory span addressing the chunk's memory records [mstart, mend),
-// with sum the total clock advance inside the span.
+// one memory span addressing the chunk's memory records [mstart, mend)
+// and facts [fstart, fend), with sum the total clock advance inside the
+// span.
 type runSpan struct {
 	kind         evKind
 	rec          int32 // record index, for loop-event spans
 	mstart, mend int32 // mem range, for memory spans
+	fstart, fend int32 // facts range, for memory spans
 	sum          int64 // Σ tick payloads, for memory spans
 }
 
@@ -191,20 +196,19 @@ func (c *evChunk) reset() {
 	c.spans = c.spans[:0]
 	c.recs = c.recs[:0]
 	c.mem = c.mem[:0]
+	c.facts = c.facts[:0]
 	c.vals = c.vals[:0]
 	c.obs = c.obs[:0]
 }
 
-// replayChunkBatched applies one sealed chunk to an engine through the
-// batched tracker path:
+// replayChunk applies one sealed chunk to an engine class:
 //
-//   - each memory span makes ONE tracker dispatch per live loop instance
-//     (Engine.memSpan → depTracker.memRun) instead of one per event, with
-//     the precomputed intra-span tick offsets keeping every store's clock
-//     stamp and every conflict offset exact;
-//   - the span's tick sum collapses to a single clock add (Tick only
-//     accumulates, so the precomputed sum is exact — and the coalescing is
-//     strictly consumer-side, leaving recorded trace bytes untouched);
+//   - each memory span applies its facts (Engine.applyFacts), and its
+//     tick sum collapses to a single clock add (Tick only accumulates, so
+//     the precomputed sum is exact — and the coalescing is strictly
+//     consumer-side, leaving recorded trace bytes untouched);
+//   - loop events go to the engine's hooks, counted for the ordinals the
+//     run tracker stamps on writes;
 //   - payloads dead under this configuration's evalPlan (IterLoop
 //     observations under dep0, EnterLoop init values without predictors)
 //     are skipped wholesale instead of being sliced and dispatched into
@@ -213,31 +217,33 @@ func (c *evChunk) reset() {
 // The result is bit-identical to feeding the same events to Engine's
 // per-event hooks, which is what a one-class run does; the oracle suites
 // pin that equivalence.
-func (e *Engine) replayChunkBatched(c *evChunk) {
+func (e *Engine) replayChunk(c *evChunk) {
 	for si := range c.spans {
 		s := &c.spans[si]
-		switch s.kind {
-		case evMemSpan:
-			if s.mend > s.mstart {
-				e.memSpan(c.mem[s.mstart:s.mend])
+		if s.kind == evMemSpan {
+			if s.fend > s.fstart && len(e.live) > 0 {
+				e.applyFacts(c.mem[s.mstart:s.mend], c.facts[s.fstart:s.fend])
 			}
 			e.clock += s.sum
+			continue
+		}
+		e.ord++
+		r := &c.recs[s.rec]
+		switch s.kind {
 		case evEnter:
-			r := &c.recs[s.rec]
 			var init []interp.Val
 			if e.plan.initLive {
 				init = c.vals[r.off : r.off+r.n]
 			}
 			e.EnterLoop(r.lm, r.a, init)
 		case evIter:
-			r := &c.recs[s.rec]
 			var obs []interp.LCDObs
 			if e.plan.obsLive {
 				obs = c.obs[r.off : r.off+r.n]
 			}
 			e.IterLoop(r.lm, r.a, obs)
 		case evExit:
-			e.ExitLoop(c.recs[s.rec].lm)
+			e.ExitLoop(r.lm)
 		}
 	}
 }
@@ -247,7 +253,7 @@ func (e *Engine) replayChunkBatched(c *evChunk) {
 func replayAll(engines []*Engine) func(*evChunk) {
 	return func(c *evChunk) {
 		for _, e := range engines {
-			e.replayChunkBatched(c)
+			e.replayChunk(c)
 		}
 	}
 }
@@ -309,16 +315,6 @@ type chunkTee struct {
 
 func newChunkTee(emit func(*evChunk) *evChunk) *chunkTee {
 	return &chunkTee{cur: getChunk(), emit: emit}
-}
-
-// inlineTee is the w == 1 producer: each full chunk replays into every
-// engine on the producing goroutine and is then reused.
-func inlineTee(engines []*Engine) *chunkTee {
-	replay := replayAll(engines)
-	return newChunkTee(func(c *evChunk) *evChunk {
-		replay(c)
-		return c
-	})
 }
 
 // closeMemSpan seals the open memory span into the plan if it observed
@@ -539,9 +535,10 @@ func MultiRun(info *analysis.ModuleInfo, cfgs []Config, opts RunOptions) ([]*Rep
 // ReplayTraceMulti, and the one place a run's consumer is chosen (see the
 // file comment). Every configuration is validated before produce, which
 // feeds the whole event stream into the hooks it is given, runs; the
-// reports are named name. A panic in the producer or an inline consumer is
-// recovered here, and a pool worker's panic is returned by the pool;
-// either way the run's shadow pages are left to the GC.
+// reports are named name. The run's shadow pages go back to their pool
+// once no worker can touch them. A panic in the producer or an inline
+// consumer is recovered here, and a pool worker's panic is returned by the
+// pool; either way the pages are left to the GC.
 func evaluate(info *analysis.ModuleInfo, name string, cfgs []Config, opts RunOptions,
 	produce func(interp.Hooks) error) (reps []*Report, err error) {
 	inFlight := int(runsInFlight.Add(1))
@@ -556,26 +553,36 @@ func evaluate(info *analysis.ModuleInfo, name string, cfgs []Config, opts RunOpt
 				&PanicError{Val: r, Stack: string(debug.Stack())})
 		}
 	}()
-	set, err := prepareEngines(info, cfgs, opts.oracle)
+	set, err := prepareEngines(info, cfgs)
 	if err != nil {
 		return nil, err
 	}
 	var hooks interp.Hooks
 	var t *chunkTee // nil on the engine-hooks route
-	switch w := fanoutWorkers(len(cfgs), len(set.engines), opts.Parallelism, inFlight); {
-	case len(set.engines) == 1:
-		hooks = set.engines[0]
-	case w == 1:
-		t = inlineTee(set.engines)
-		hooks = t
-	default:
-		groups := affinityGroups(set.engines, w)
-		replayers := make([]func(*evChunk), len(groups))
-		for i, g := range groups {
-			replayers[i] = replayAll(g)
+	if len(set.engines) == 1 {
+		hooks = set.perEvent(info, opts.oracle)
+	} else {
+		var emit func(*evChunk) *evChunk
+		if w := fanoutWorkers(len(cfgs), len(set.engines), opts.Parallelism, inFlight); w == 1 {
+			replay := replayAll(set.engines)
+			emit = func(c *evChunk) *evChunk {
+				replay(c)
+				return c
+			}
+		} else {
+			groups := affinityGroups(set.engines, w)
+			replayers := make([]func(*evChunk), len(groups))
+			for i, g := range groups {
+				replayers[i] = replayAll(g)
+			}
+			pool = startWorkers(replayers)
+			emit = pool.publish
 		}
-		pool = startWorkers(replayers)
-		t = newChunkTee(pool.publish)
+		run := set.shareTracker(info, opts.oracle)
+		t = newChunkTee(func(c *evChunk) *evChunk {
+			run.seal(c)
+			return emit(c)
+		})
 		hooks = t
 	}
 	tw := traceSink(info, opts)

@@ -74,6 +74,78 @@ func TestMultiRunBitIdentical(t *testing.T) {
 	noRunsInFlight(t)
 }
 
+// innerSavingsSrc runs an outer loop, twice. Each outer iteration first
+// reads what the iteration before wrote late, then runs two inner loops
+// that every configuration parallelizes, writing a carried cell after
+// each. A carried write's offset inside its iteration on a class's
+// adjusted clock is its serial offset less the savings of the inner loops
+// before it, which differ by class.
+const innerSavingsSrc = `
+const N = 48;
+var a [N]int;
+var carry [2]int;
+func pass(rounds int) int {
+	var i int;
+	for (i = 0; i < rounds; i = i + 1) {
+		var c int = carry[0] + carry[1];
+		var j int;
+		for (j = 0; j < N; j = j + 1) { a[j] = a[j] + c + j; }
+		carry[1] = c + a[i % N];
+		for (j = 0; j < N; j = j + 1) { a[j] = a[j] * 3 + 1; }
+		carry[0] = carry[1] + a[(i + 7) % N];
+	}
+	return carry[0];
+}
+func main() int {
+	return pass(40) + pass(25);
+}`
+
+// TestMultiRunInnerSavings checks the HELIX savings log of the fact route
+// in milliseconds: MultiRun over the paper grid, where HELIX classes read
+// the run tracker's raw write offsets through their own savings, against
+// per-configuration Run, where each engine stamps adjusted offsets itself.
+// Both outer instances start with no live instance, so the log also
+// starts over between them.
+func TestMultiRunInnerSavings(t *testing.T) {
+	info, err := AnalyzeSource("savings", innerSavingsSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := PaperConfigs()
+	want := make([]*Report, len(cfgs))
+	for i, cfg := range cfgs {
+		if want[i], err = Run(info, cfg, RunOptions{}); err != nil {
+			t.Fatalf("%s: %v", cfg, err)
+		}
+		if cfg != BestHELIX() {
+			continue
+		}
+		// The program must keep reaching the log: the outer loop
+		// conflicts under HELIX, and the inner loops save time first.
+		for _, lr := range want[i].Loops {
+			if lr.Depth == 1 && (lr.ConflictIters == 0 || lr.Delta == 0) {
+				t.Errorf("%s: outer loop %s has %d conflicting iterations, delta %d; want both > 0",
+					cfg, lr.ID, lr.ConflictIters, lr.Delta)
+			}
+			if lr.Depth == 2 && lr.ParallelInstances == 0 {
+				t.Errorf("%s: inner loop %s never ran parallel", cfg, lr.ID)
+			}
+		}
+	}
+	for width, p := range multiWidths {
+		got, err := MultiRun(info, cfgs, RunOptions{Parallelism: p})
+		if err != nil {
+			t.Fatalf("%s: %v", width, err)
+		}
+		for i := range cfgs {
+			if err := CompareReports(want[i], got[i]); err != nil {
+				t.Errorf("%s/%s: %v", width, cfgs[i], err)
+			}
+		}
+	}
+	noRunsInFlight(t)
+}
+
 // TestMultiRunAutoSelect exercises MultiRun's default width on both sides
 // of the threshold.
 func TestMultiRunAutoSelect(t *testing.T) {
@@ -259,8 +331,20 @@ func replaySealed(h interp.Hooks, c *evChunk) {
 	}
 }
 
+// factRoute readies one engine per configuration, without coalescing, as
+// the classes of a multi-class run, and returns the run tracker that seals
+// chunks for them.
+func factRoute(info *analysis.ModuleInfo, cfgs []Config) ([]*Engine, *runTracker) {
+	set := &engineSet{}
+	for _, cfg := range cfgs {
+		set.engines = append(set.engines, newEngine(info, cfg, nil))
+	}
+	return set.engines, set.shareTracker(info, nil)
+}
+
 // sealOne feeds the events emit produces through the fan-out producer and
-// returns the one sealed chunk they fill, failing if they overflow it.
+// returns the one sealed chunk they fill, failing if they overflow it. The
+// chunk carries no facts until a run tracker seals it.
 func sealOne(t *testing.T, emit func(h interp.Hooks)) *evChunk {
 	t.Helper()
 	var sealed []*evChunk
@@ -430,14 +514,14 @@ func TestRunTraceMatchesUntraced(t *testing.T) {
 }
 
 // TestReplayChunkPayloadAliasing is interp's TestHooksScratchBufferOwnership
-// transplanted to the batched path. replayChunkBatched hands engines
-// sub-slices of the chunk's flat payload arrays — no per-event copy, so a
-// warm replay allocates nothing — and the producer refills a reused chunk
-// in place, so a retained sub-slice observably reads the next filling.
-// Engines must therefore never retain payloads: an engine's report must not
-// move when the chunk it replayed is refilled. If the allocation check
-// fails, chunk replay started copying per event and the zero-allocation
-// contract of the fan-out is gone.
+// transplanted to chunk replay. replayChunk hands engines sub-slices of the
+// chunk's flat payload arrays — no per-event copy, so a warm replay
+// allocates nothing — and the producer refills a reused chunk in place, so
+// a retained sub-slice observably reads the next filling. Engines must
+// therefore never retain payloads: an engine's report must not move when
+// the chunk it replayed is refilled. If the allocation check fails, chunk
+// replay started copying per event and the zero-allocation contract of the
+// fan-out is gone.
 func TestReplayChunkPayloadAliasing(t *testing.T) {
 	info, err := AnalyzeSource("alias", predictableSrc)
 	if err != nil {
@@ -453,19 +537,20 @@ func TestReplayChunkPayloadAliasing(t *testing.T) {
 		t.Fatalf("program produced %d init values and %d observations, want both", len(c.vals), len(c.obs))
 	}
 	cfg := BestPDOALL() // dep2: init values and observations both live
-	e := NewEngine(info, cfg)
-	e.replayChunkBatched(c)
+	engines, tr := factRoute(info, []Config{cfg, cfg})
+	tr.seal(c)
+	e, warm := engines[0], engines[1]
+	e.replayChunk(c)
 	before := e.Report("alias")
 	if want, err := Run(info, cfg, RunOptions{}); err != nil {
 		t.Fatal(err)
 	} else if err := CompareReports(want, before); err != nil {
-		t.Fatalf("batched replay diverges from Run: %v", err)
+		t.Fatalf("chunk replay diverges from Run: %v", err)
 	}
 
-	warm := NewEngine(info, cfg)
-	warm.replayChunkBatched(c)
-	if allocs := testing.AllocsPerRun(5, func() { warm.replayChunkBatched(c) }); allocs != 0 {
-		t.Errorf("warm replayChunkBatched allocates %.1f times per chunk, want 0", allocs)
+	warm.replayChunk(c)
+	if allocs := testing.AllocsPerRun(5, func() { warm.replayChunk(c) }); allocs != 0 {
+		t.Errorf("warm replayChunk allocates %.1f times per chunk, want 0", allocs)
 	}
 
 	// Refill the chunk in place, as the inline path and the free list do.

@@ -325,3 +325,32 @@ func checkMatrix(t *testing.T, info *analysis.ModuleInfo, cfgs []core.Config, re
 	}
 	return want
 }
+
+// TestTrackerCensus runs one paper-grid pass (every suite kernel under
+// every paper configuration, one MultiRun per kernel) and counts the
+// shared trackers' work. Before runs shared one tracker, each engine
+// class probed memory itself: a pass probed 51,132,908 (record, level)
+// pairs and held 2,206 shadow pages. One tracker over the union of the
+// classes' tracked loops must never do more.
+func TestTrackerCensus(t *testing.T) {
+	if testing.Short() {
+		t.Skip("one paper-grid pass")
+	}
+	const classProbes, classPages = 51_132_908, 2_206
+	var c core.Census
+	for _, b := range bench.All() {
+		info, err := b.Analyze()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := core.MultiRun(info, core.PaperConfigs(), core.WithCensus(core.RunOptions{Parallelism: 1}, &c)); err != nil {
+			t.Fatalf("%s: %v", b.Name, err)
+		}
+	}
+	t.Logf("per pass: %d record probes, %d shadow pages (per-class trackers: %d, %d)",
+		c.Probes, c.Pages, classProbes, classPages)
+	if c.Probes == 0 || c.Probes > classProbes || c.Pages == 0 || c.Pages > classPages {
+		t.Errorf("shared trackers probed %d records and held %d pages, want 1..%d and 1..%d",
+			c.Probes, c.Pages, classProbes, classPages)
+	}
+}

@@ -102,12 +102,11 @@ func TestMultiRunSharesAutoWidth(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfgs := PaperConfigs()
-	set, err := prepareEngines(info, cfgs, nil)
+	set, err := prepareEngines(info, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	classes := len(set.engines)
-	set.release()
 	workers := func(p int) int {
 		t.Helper()
 		probe := workerProbe{workers: -1}
@@ -218,12 +217,11 @@ func TestWorkerPoolShuffledArrival(t *testing.T) {
 }
 
 // TestSharedChunkRace is the -race gate of chunk sharing: one sealed
-// chunk — spans, memory records and payloads — is replayed concurrently
-// by every coalesced engine class of the paper grid, each with its own
-// tracker. The chunk is sealed once on this goroutine and read by all
-// engines; any write to shared chunk state is a race-detector failure,
-// and every engine must still match a serially-replayed twin
-// bit-for-bit.
+// chunk — spans, memory records, facts and payloads — is replayed
+// concurrently by an engine per paper configuration. The chunk is sealed,
+// facts included, once on this goroutine and read by all engines; any
+// write to shared chunk state is a race-detector failure, and every engine
+// must still match a serially-replayed twin bit-for-bit.
 func TestSharedChunkRace(t *testing.T) {
 	info, err := AnalyzeSource("race", doallSrc)
 	if err != nil {
@@ -233,12 +231,14 @@ func TestSharedChunkRace(t *testing.T) {
 
 	// A chunk with dense load/store spans across regions, including
 	// stack addresses under the cactus filter, and loads that find no
-	// recorded write beside loads that find one.
+	// recorded write beside loads that find one of this iteration or of
+	// the one before.
 	c := sealOne(t, func(w interp.Hooks) {
 		w.EnterLoop(lm, int64(interp.StackTop)-64, nil)
 		for iter := 0; iter < 10; iter++ {
 			w.IterLoop(lm, int64(interp.StackTop)-64, nil)
 			base := int64(interp.HeapBase) + int64(iter%3)*512
+			prev := int64(interp.HeapBase) + int64((iter+2)%3)*512
 			for j := int64(0); j < 40; j++ {
 				w.Tick(1)
 				w.Store(base + j)
@@ -250,16 +250,20 @@ func TestSharedChunkRace(t *testing.T) {
 			for j := int64(0); j < 8; j++ {
 				w.Tick(1)
 				w.Load(base + j) // just stored: the tracker finds a record
+				w.Load(prev + j) // stored last iteration: a fact
 			}
 		}
 		w.ExitLoop(lm)
 	})
 
 	cfgs := PaperConfigs()
-	serial := make([]*Engine, len(cfgs))
-	for i, cfg := range cfgs {
-		serial[i] = NewEngine(info, cfg)
-		serial[i].replayChunkBatched(c)
+	serial, run := factRoute(info, cfgs)
+	run.seal(c)
+	if len(c.facts) == 0 {
+		t.Fatal("the chunk carries no facts")
+	}
+	for _, e := range serial {
+		e.replayChunk(c)
 	}
 
 	var wg sync.WaitGroup
@@ -268,17 +272,12 @@ func TestSharedChunkRace(t *testing.T) {
 		wg.Add(1)
 		go func(i int, cfg Config) {
 			defer wg.Done()
-			e := NewEngine(info, cfg)
+			// Fresh engine per repetition; only the last survives.
 			for rep := 0; rep < 4; rep++ {
-				if rep == 0 {
-					e.replayChunkBatched(c)
-				} else {
-					// Fresh engine per repetition; only the last survives.
-					e = NewEngine(info, cfg)
-					e.replayChunkBatched(c)
-				}
+				engines, _ := factRoute(info, []Config{cfg})
+				engines[0].replayChunk(c)
+				concurrent[i] = engines[0]
 			}
-			concurrent[i] = e
 		}(i, cfg)
 	}
 	wg.Wait()
@@ -293,8 +292,9 @@ func TestSharedChunkRace(t *testing.T) {
 
 // TestShadowPageRecycling runs MultiRun and ReplayTraceMulti from four
 // goroutines at once, for several rounds over the fanoutSamples programs,
-// so shadow pages one run releases are reused by runs on other goroutines
-// (pool workers included), in other trackers and at other nesting levels.
+// so shadow pages one run releases are reused by the run trackers of runs
+// on other goroutines, at other nesting levels, while pool workers replay
+// the facts found in them.
 // MultiRun takes widths 0, 1 and 2, so width-0 runs resolve their width
 // while other runs are in flight. Every report must equal
 // per-configuration Run's. `make race` runs it under the race detector.

@@ -58,18 +58,27 @@ type oracle struct {
 	// exec executes main in place of the bytecode VM: the tree-walking
 	// interpreter.
 	exec func(info *analysis.ModuleInfo, cfg interp.Config, args []interp.Val) (interp.Result, error)
-	// tracker builds each engine's dependence tracker in place of the
-	// shadow tracker: the map tracker.
+	// tracker and store build a run's dependence storage in place of the
+	// shadow memory: the map tracker, as a one-class engine's depTracker
+	// and as a run tracker's factStore.
 	tracker func() depTracker
+	store   func(info *analysis.ModuleInfo) factStore
 }
 
-// newEngine builds the engine of one configuration: on the shadow
-// tracker, or on the oracle's tracker.
-func (o *oracle) newEngine(info *analysis.ModuleInfo, cfg Config) *Engine {
+// newTracker returns a one-class engine's dependence tracker.
+func (o *oracle) newTracker(info *analysis.ModuleInfo) depTracker {
 	if o == nil || o.tracker == nil {
-		return NewEngine(info, cfg)
+		return newShadowTracker(info)
 	}
-	return newEngine(info, cfg, o.tracker())
+	return o.tracker()
+}
+
+// newStore returns a run tracker's storage.
+func (o *oracle) newStore(info *analysis.ModuleInfo) factStore {
+	if o == nil || o.store == nil {
+		return newShadowFacts(info)
+	}
+	return o.store(info)
 }
 
 // execute runs main on the bytecode VM, or on the oracle's executor,

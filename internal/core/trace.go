@@ -624,9 +624,9 @@ func ReplayTrace(name string, info *analysis.ModuleInfo, cfg Config, opts RunOpt
 // worker and never recording opts.Trace. Every configuration is validated
 // before the trace header is read. When the configurations coalesce into
 // one engine class, the decoder feeds that engine's per-event hooks, as
-// Run does; otherwise decoded events feed the sealed-chunk producer and
-// every chunk replays inline through the batched tracker path into each
-// class.
+// Run does; otherwise decoded events feed the sealed-chunk producer, the
+// run tracker finds each chunk's conflict facts, and every chunk replays
+// inline into each class.
 func ReplayTraceMulti(name string, info *analysis.ModuleInfo, cfgs []Config, opts RunOptions, r io.Reader) ([]*Report, error) {
 	opts.Parallelism, opts.Trace = 1, nil
 	return evaluate(info, name, cfgs, opts, func(h interp.Hooks) error {

@@ -8,52 +8,31 @@ import (
 	"loopapalooza/internal/interp"
 )
 
-// depTracker stores, per active loop instance, the last cross-iteration
-// write to each address. The engine owns all policy (cactus-stack
-// exemption, same-iteration and committed-phase filtering, conflict
-// handling); the tracker is pure storage.
+// depTracker stores, per loop-nesting level, the last cross-iteration
+// write to each address: the per-event storage of a one-class run, whose
+// engine calls it from Load and Store. The engine owns all policy
+// (cactus-stack exemption, same-iteration and committed-phase filtering,
+// conflict handling); the tracker is pure storage. A run with more engine
+// classes finds its conflicts once instead, in its runTracker (facts.go).
 //
-// All access methods take the address's region classification (r, idx)
-// alongside the raw address: callers classify with region() ONCE per event
-// (or once per address run, on the batched paths) and the tracker never
-// re-derives it — the region branch is hoisted out of the per-event call.
+// load and store take the address's region classification (r, idx)
+// alongside the raw address: callers classify with region() once per
+// event and the tracker never re-derives it.
 type depTracker interface {
-	// enter prepares (or resets) storage for an instance that begins
-	// tracking. inst.depth is its nesting level, unique among active
-	// instances.
-	enter(inst *instance)
-	// loadAt returns the recorded write covering addr for inst, if any.
-	// (r, idx) must be region(addr).
-	loadAt(inst *instance, r int, idx int64, addr int64) (writeRec, bool)
-	// storeAt records a write at addr for inst. (r, idx) must be
-	// region(addr).
-	storeAt(inst *instance, r int, idx int64, addr int64, rec writeRec)
-	// memRun resolves a whole run of mixed load/store records for inst in
-	// ONE call — the hot path of chunk replay, which probes every record
-	// of every memory span once per live instance. Each memEv carries its
-	// kind, region classification, and the clock advance accumulated
-	// inside the run before it (the engine applies the run's total to its
-	// clock afterwards; no other event can occur inside a run).
-	//
-	// Stores record writeRec{iter: iter, off: offBase + ev.tick} — iter
-	// and offBase are run constants because iteration boundaries end a
-	// run. Loads that find a record append (record index, record) to
-	// hitIdx/hitRecs; memRun returns the hit count and the engine applies
-	// the RAW policy afterwards, in record order (loads are pure, and
-	// hits are rare, so deferring policy keeps this loop branch-light).
-	//
-	// Records with reg == regStack and addr < spLimit are skipped
-	// wholesale: the engine pre-resolves its cactus-stack exemption
-	// (frames pushed after the current iteration began, i.e. addresses
-	// below the iteration-start SP, are iteration-private) into that one
-	// bound so the filter costs a compare here instead of a callback.
-	memRun(inst *instance, evs []memEv,
-		iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec) int
-	// drop discards inst's write set (the instance serialized or exited).
-	drop(inst *instance)
+	// enter prepares (or resets) a level's storage for an instance that
+	// begins tracking there. Levels are stack depths, so one active
+	// instance occupies a level at a time.
+	enter(level int)
+	// load returns the recorded write covering addr at level, if any.
+	load(level, r int, idx, addr int64) (writeRec, bool)
+	// store records a write at addr at level.
+	store(level, r int, idx, addr int64, rec writeRec)
+	// release hands the storage back for reuse by later runs. Call it
+	// once, after the last event.
+	release()
 }
 
-// memRun record kinds.
+// memEv record kinds.
 const (
 	memLoad  uint8 = 0
 	memStore uint8 = 1
@@ -62,7 +41,7 @@ const (
 // memEv is one memory record of a sealed chunk's memory span: the address
 // with its region classification precomputed (reg, idx), the record kind,
 // and the clock advance accumulated inside the span before this record.
-// One 32-byte record per event keeps the batched tracker loop on a single
+// One 32-byte record per event keeps the run tracker's scan on a single
 // sequential stream.
 type memEv struct {
 	idx  int64 // dense region offset: region(addr)
@@ -96,7 +75,7 @@ const (
 	heapFlatCap = int64(1) << 24
 
 	// pageShift sets the shadow page size: pageSize region offsets per
-	// page, 8 KiB of stamps plus 16 KiB of records.
+	// page, 8 KiB of stamps plus 8 KiB per record word.
 	pageShift = 10
 	pageSize  = 1 << pageShift
 	pageMask  = pageSize - 1
@@ -112,9 +91,9 @@ const (
 // shadowRec is one overflow-map entry: a generation stamp plus the write
 // record. Entries whose gen differs from the level's current generation
 // are stale leftovers of earlier instances and read as absent.
-type shadowRec struct {
+type shadowRec[R any] struct {
 	gen uint64
-	writeRec
+	rec R
 }
 
 // shadowPage is pageSize consecutive region offsets of one level's flat
@@ -122,15 +101,20 @@ type shadowRec struct {
 // own densely-packed array, the write records in a parallel one. The
 // common miss — a stale generation — touches only the 8-byte stamp, so
 // one cache line answers eight addresses.
-type shadowPage struct {
+type shadowPage[R any] struct {
 	gens [pageSize]uint64
-	recs [pageSize]writeRec
+	recs [pageSize]R
 }
 
-// shadowPages recycles pages across runs. A page comes back holding its
-// last owner's stamps and is reused as is: every generation is drawn once
-// from shadowGen, so no stale stamp equals a live level's generation.
-var shadowPages = sync.Pool{New: func() any { return new(shadowPage) }}
+// writePages and factPages recycle pages across runs: the per-event
+// tracker's (8 KiB of stamps plus 16 KiB of records) and the run
+// tracker's (8 KiB plus 32 KiB). A page comes back holding its last
+// owner's stamps and is reused as is: every generation is drawn once from
+// shadowGen, so no stale stamp equals a live level's generation.
+var (
+	writePages = sync.Pool{New: func() any { return new(shadowPage[writeRec]) }}
+	factPages  = sync.Pool{New: func() any { return new(shadowPage[factRec]) }}
+)
 
 // shadowGen issues the generation of every level in the process. It never
 // issues 0, the stamp of a new page.
@@ -140,42 +124,33 @@ var shadowGen atomic.Uint64
 // active instance occupies a level at a time (levels are stack depths), so
 // a single generation distinguishes the current instance's writes from
 // stale ones.
-type shadowLevel struct {
+type shadowLevel[R any] struct {
 	gen   uint64
-	pages [3][]*shadowPage // page directory per region, indexed by offset>>pageShift
-	over  map[int64]shadowRec
-}
-
-// bump starts a new generation, invalidating every record the previous
-// occupant of this level left behind, and prunes an oversized overflow
-// map (whose entries are now all stale) so dead records do not accumulate
-// across enter/drop cycles.
-func (lvl *shadowLevel) bump() {
-	lvl.gen = shadowGen.Add(1)
-	if len(lvl.over) > overflowPruneLimit {
-		clear(lvl.over)
-	}
+	pages [3][]*shadowPage[R] // page directory per region, indexed by offset>>pageShift
+	over  map[int64]shadowRec[R]
 }
 
 // page returns the page holding flat offset idx of region r, or nil before
 // the level's first store into it. It is small enough to inline, so the
-// batched loops pay no call for it.
-func (lvl *shadowLevel) page(r int, idx int64) *shadowPage {
+// scan loop pays no call for it.
+func (lvl *shadowLevel[R]) page(r int, idx int64) *shadowPage[R] {
 	if pi := uint64(idx) >> pageShift; pi < uint64(len(lvl.pages[r])) {
 		return lvl.pages[r][pi]
 	}
 	return nil
 }
 
-// shadowTracker implements depTracker with generation-stamped paged
-// tables.
-type shadowTracker struct {
-	levels []*shadowLevel
+// shadowMem is generation-stamped paged storage of records R per nesting
+// level: with writeRec records the production depTracker (shadowTracker),
+// with factRec records a run tracker's store (shadowFacts).
+type shadowMem[R any] struct {
+	levels []*shadowLevel[R]
 	caps   [3]int64 // flat-region cap per region
+	pages  *sync.Pool
 }
 
-func newShadowTracker(info *analysis.ModuleInfo) *shadowTracker {
-	t := &shadowTracker{}
+func newShadowMem[R any](info *analysis.ModuleInfo, pages *sync.Pool) *shadowMem[R] {
+	t := &shadowMem[R]{pages: pages}
 	globalEnd := int64(interp.GlobalBase)
 	if info != nil && info.Mod != nil {
 		for _, g := range info.Mod.Globals {
@@ -203,34 +178,30 @@ func region(addr int64) (r int, idx int64) {
 // touch gives lvl a page for flat offset idx of region r, on the level's
 // first store into that page. The directory doubles, so a sweep over n
 // pages copies O(n) pointers, but never past the region's last page.
-func (t *shadowTracker) touch(lvl *shadowLevel, r int, idx int64) *shadowPage {
+func (t *shadowMem[R]) touch(lvl *shadowLevel[R], r int, idx int64) *shadowPage[R] {
 	pi := int(idx >> pageShift)
 	dir := lvl.pages[r]
 	if pi >= len(dir) {
 		n := min(max(pi+1, 2*len(dir)), int((t.caps[r]+pageMask)>>pageShift))
-		grown := make([]*shadowPage, n)
+		grown := make([]*shadowPage[R], n)
 		copy(grown, dir)
 		dir = grown
 		lvl.pages[r] = dir
 	}
-	pg := shadowPages.Get().(*shadowPage)
+	pg := t.pages.Get().(*shadowPage[R])
 	dir[pi] = pg
 	return pg
 }
 
-// release returns every page to shadowPages and drops the levels, so a
-// page is never in two directories. Call it once, after the engine has
-// replayed its last event. A nil tracker (an engine on a test's map
-// tracker) has nothing to release.
-func (t *shadowTracker) release() {
-	if t == nil {
-		return
-	}
+// release returns every page to the tracker's pool and drops the levels,
+// so a page is never in two directories. Call it once, after the last
+// event.
+func (t *shadowMem[R]) release() {
 	for _, lvl := range t.levels {
 		for _, dir := range lvl.pages {
 			for _, pg := range dir {
 				if pg != nil {
-					shadowPages.Put(pg)
+					t.pages.Put(pg)
 				}
 			}
 		}
@@ -238,41 +209,45 @@ func (t *shadowTracker) release() {
 	t.levels = nil
 }
 
-func (t *shadowTracker) enter(inst *instance) {
-	for int(inst.depth) >= len(t.levels) {
-		t.levels = append(t.levels, &shadowLevel{})
+// enter starts a new generation at level, invalidating every record the
+// previous occupant left behind, and prunes an oversized overflow map
+// (whose entries are now all stale) so dead records do not accumulate
+// across instances.
+func (t *shadowMem[R]) enter(level int) {
+	for level >= len(t.levels) {
+		t.levels = append(t.levels, &shadowLevel[R]{})
 	}
-	t.levels[inst.depth].bump()
+	lvl := t.levels[level]
+	lvl.gen = shadowGen.Add(1)
+	if len(lvl.over) > overflowPruneLimit {
+		clear(lvl.over)
+	}
 }
 
-func (t *shadowTracker) drop(inst *instance) {
-	// Stale records are invalidated (and oversized overflow maps pruned)
-	// by the next occupant's generation bump; nothing to clear now.
+// shadowTracker is the production depTracker. Its load and store are
+// written for writeRec, not generically, so an interface call reaches the
+// code in one step.
+type shadowTracker struct{ *shadowMem[writeRec] }
+
+func newShadowTracker(info *analysis.ModuleInfo) shadowTracker {
+	return shadowTracker{newShadowMem[writeRec](info, &writePages)}
 }
 
-func (t *shadowTracker) loadAt(inst *instance, r int, idx int64, addr int64) (writeRec, bool) {
-	lvl := t.levels[inst.depth]
+func (t shadowTracker) load(level, r int, idx, addr int64) (writeRec, bool) {
+	lvl := t.levels[level]
 	if uint64(idx) >= uint64(t.caps[r]) {
-		rec, ok := lvl.over[addr]
-		if !ok || rec.gen != lvl.gen {
-			return writeRec{}, false
-		}
-		return rec.writeRec, true
+		return lvl.overLoad(addr)
 	}
-	pg := lvl.page(r, idx)
-	if pg == nil || pg.gens[idx&pageMask] != lvl.gen {
-		return writeRec{}, false
+	if pg := lvl.page(r, idx); pg != nil && pg.gens[idx&pageMask] == lvl.gen {
+		return pg.recs[idx&pageMask], true
 	}
-	return pg.recs[idx&pageMask], true
+	return writeRec{}, false
 }
 
-func (t *shadowTracker) storeAt(inst *instance, r int, idx int64, addr int64, rec writeRec) {
-	lvl := t.levels[inst.depth]
+func (t shadowTracker) store(level, r int, idx, addr int64, rec writeRec) {
+	lvl := t.levels[level]
 	if uint64(idx) >= uint64(t.caps[r]) {
-		if lvl.over == nil {
-			lvl.over = map[int64]shadowRec{}
-		}
-		lvl.over[addr] = shadowRec{gen: lvl.gen, writeRec: rec}
+		lvl.overStore(addr, rec)
 		return
 	}
 	pg := lvl.page(r, idx)
@@ -283,57 +258,19 @@ func (t *shadowTracker) storeAt(inst *instance, r int, idx int64, addr int64, re
 	pg.recs[idx&pageMask] = rec
 }
 
-// memRun is the shadow fast path for a mixed load/store run: the level and
-// its generation are hoisted out of the per-record loop, so the common
-// case — a flat store, or a flat load missing on a stale generation —
-// costs one cap compare, one directory index and one stamp access. Thanks
-// to the SoA page layout, a miss touches only the 8-byte stamp.
-func (t *shadowTracker) memRun(inst *instance, evs []memEv,
-	iter, offBase, spLimit int64, hitIdx []int32, hitRecs []writeRec) int {
-	lvl := t.levels[inst.depth]
-	gen := lvl.gen
-	nh := 0
-	for i := range evs {
-		ev := &evs[i]
-		r := int(ev.reg)
-		idx := ev.idx
-		if r == regStack && ev.addr < spLimit {
-			continue
-		}
-		flat := uint64(idx) < uint64(t.caps[r])
-		if ev.kind == memStore {
-			rec := writeRec{iter: iter, off: offBase + ev.tick}
-			if !flat {
-				if lvl.over == nil {
-					lvl.over = map[int64]shadowRec{}
-				}
-				lvl.over[ev.addr] = shadowRec{gen: gen, writeRec: rec}
-				continue
-			}
-			pg := lvl.page(r, idx)
-			if pg == nil {
-				pg = t.touch(lvl, r, idx)
-			}
-			pg.gens[idx&pageMask] = gen
-			pg.recs[idx&pageMask] = rec
-			continue
-		}
-		// Load.
-		if !flat {
-			rec, ok := lvl.over[ev.addr]
-			if !ok || rec.gen != gen {
-				continue
-			}
-			hitIdx[nh], hitRecs[nh] = int32(i), rec.writeRec
-			nh++
-			continue
-		}
-		pg := lvl.page(r, idx)
-		if pg == nil || pg.gens[idx&pageMask] != gen {
-			continue
-		}
-		hitIdx[nh], hitRecs[nh] = int32(i), pg.recs[idx&pageMask]
-		nh++
+// overLoad returns the level's current overflow record for addr, if any.
+func (lvl *shadowLevel[R]) overLoad(addr int64) (R, bool) {
+	if e, ok := lvl.over[addr]; ok && e.gen == lvl.gen {
+		return e.rec, true
 	}
-	return nh
+	var none R
+	return none, false
+}
+
+// overStore records a write at addr in the level's overflow map.
+func (lvl *shadowLevel[R]) overStore(addr int64, rec R) {
+	if lvl.over == nil {
+		lvl.over = map[int64]shadowRec[R]{}
+	}
+	lvl.over[addr] = shadowRec[R]{gen: lvl.gen, rec: rec}
 }

@@ -1,17 +1,21 @@
 package core
 
 // Tracker-level differential harness: randomized (depth, region, addr, op)
-// streams replayed through the shadow tracker and the legacy map oracle
-// side-by-side, comparing every load answer and every batched memRun hit
-// list. Unlike the full-suite oracles (which only exercise addresses real
-// benchmarks produce), the stream generator deliberately lands on the
-// boundaries — region cap edges, shadow page edges, the overflow-map
-// fallback, stack-filter limits, generation churn, and pages recycled
-// through shadowPages. The same driver backs FuzzTrackerDifferential.
+// streams replayed through the shadow memory and the map oracle
+// side-by-side, in both of its roles. As a one-class engine's depTracker,
+// every load answer is compared; as a run tracker's store, the loop and
+// memory events of the stream are sealed into chunks and every chunk's
+// facts are compared. Unlike the full-suite oracles (which only exercise
+// addresses real benchmarks produce), the stream generator deliberately
+// lands on the boundaries — region cap edges, shadow page edges, the
+// overflow-map fallback, stack-filter limits, generation churn, and pages
+// recycled through the page pools. The same driver backs
+// FuzzTrackerDifferential.
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"loopapalooza/internal/analysis"
@@ -91,112 +95,148 @@ func diffAddr(sel, lo byte) int64 {
 
 // runTrackerDiff decodes ops as a scripted stream of tracker operations
 // (4 bytes each: op, depth/span selector, address family, offset) and
-// replays it through a shadow tracker and the map oracle in lockstep,
-// failing on the first divergence. Op streams of any content are safe;
-// invalid prefixes simply decode to no-ops.
+// replays it through the shadow memory and the map oracle in lockstep,
+// failing on the first divergence. The per-event trackers take stores and
+// loads at a chosen level directly; the run trackers see the same
+// operations as loop and memory events, including loops no class tracks
+// and iteration boundaries, and their facts are compared chunk by chunk.
+// Op streams of any content are safe; invalid prefixes simply decode to
+// no-ops.
 func runTrackerDiff(tb testing.TB, ops []byte) {
 	tb.Helper()
 	info := trackerDiffInfo()
 	sh := newShadowTracker(info)
-	sh.caps[regHeap] = diffHeapCap
-	sh.caps[regStack] = diffStackCap
-	mp := newMapTracker()
-	const maxDepth = 4
-	shInst := make([]*instance, maxDepth)
-	mpInst := make([]*instance, maxDepth)
-	for d := range shInst {
-		shInst[d] = &instance{depth: d}
-		mpInst[d] = &instance{depth: d}
+	shFacts := newShadowFacts(info)
+	for _, caps := range []*[3]int64{&sh.caps, &shFacts.caps} {
+		caps[regHeap] = diffHeapCap
+		caps[regStack] = diffStackCap
 	}
-	const maxSpan = 32
-	shIdx := make([]int32, maxSpan)
-	shRec := make([]writeRec, maxSpan)
-	mpIdx := make([]int32, maxSpan)
-	mpRec := make([]writeRec, maxSpan)
-	active := 0
-	for i, step := 0, 0; i+3 < len(ops); i, step = i+4, step+1 {
+	mp := newMapTracker[writeRec]()
+	// The one configuration serializes loops with calls, so a level
+	// entered on the called meta is one no class tracks.
+	cfgs := []Config{{Model: DOALL}}
+	free, called := fakeMeta(), fakeMeta()
+	called.HasCall = true
+	shRun := newRunTracker(nil, shFacts)
+	mpRun := newRunTracker(nil, mapFacts{newMapTracker[factRec]()})
+	shRun.cfgs, mpRun.cfgs = cfgs, cfgs
+
+	step := 0
+	tee := newChunkTee(func(c *evChunk) *evChunk {
+		shRun.seal(c)
+		want := slices.Clone(c.facts)
+		wantSpans := slices.Clone(c.spans)
+		mpRun.seal(c)
+		if !slices.Equal(c.facts, want) || !slices.Equal(c.spans, wantSpans) {
+			tb.Fatalf("step %d: run tracker facts diverged:\nshadow %+v\nmap    %+v", step, want, c.facts)
+		}
+		return c
+	})
+	// spOf picks an iteration-start stack pointer: 0 tracks every stack
+	// address, a pointer near the top exercises the cactus-stack filter
+	// boundary (addresses in [sp, StackTop) tracked, below it skipped).
+	spOf := func(fam, off byte) int64 {
+		if off%2 == 0 {
+			return int64(interp.StackTop) - 1 - int64(fam)
+		}
+		return 0
+	}
+	const maxDepth = 4
+	var metas []*analysis.LoopMeta // the event stream's loop stack
+	var lastStack int64            // the last stack cell the stream stored, or 0
+	store := func(addr int64) {
+		tee.Store(addr)
+		if interp.IsStackAddr(addr) {
+			lastStack = addr
+		}
+	}
+	for i := 0; i+3 < len(ops); i, step = i+4, step+1 {
 		op, sel, fam, off := ops[i], ops[i+1], ops[i+2], ops[i+3]
 		switch op % 8 {
 		case 0: // enter the next nesting level
-			if active < maxDepth {
-				sh.enter(shInst[active])
-				mp.enter(mpInst[active])
-				active++
+			if len(metas) < maxDepth {
+				sh.enter(len(metas))
+				mp.enter(len(metas))
+				lm := free
+				if sel%3 == 0 {
+					lm = called
+				}
+				metas = append(metas, lm)
+				tee.EnterLoop(lm, spOf(fam, off), nil)
 			}
-		case 1: // drop the deepest level; with none active, release
-			if active > 0 {
-				active--
-				sh.drop(shInst[active])
-				mp.drop(mpInst[active])
+		case 1: // exit the deepest level; with none active, release
+			if n := len(metas); n > 0 {
+				tee.ExitLoop(metas[n-1])
+				metas = metas[:n-1]
 				continue
 			}
-			// The shadow tracker's pages go back to shadowPages, so the
-			// next enters reuse pages still holding this run's stamps.
-			// The oracle has nothing to release: its instances start
-			// empty on enter anyway.
+			// The shadow pages go back to their pools, so the next
+			// enters reuse pages still holding this run's stamps. The
+			// oracle has nothing to release: its levels start empty on
+			// enter anyway. The run trackers seal what they have seen
+			// before their store lets go of it.
 			sh.release()
+			tee.flush()
+			shFacts.release()
 		case 2, 3: // store at a random live depth
-			if active == 0 {
+			if len(metas) == 0 {
 				continue
 			}
-			d := int(sel) % active
+			d := int(sel) % len(metas)
 			addr := diffAddr(fam, off)
 			r, idx := region(addr)
 			rec := writeRec{iter: int64(sel % 7), off: int64(off)}
-			sh.storeAt(shInst[d], r, idx, addr, rec)
-			mp.storeAt(mpInst[d], r, idx, addr, rec)
+			sh.store(d, r, idx, addr, rec)
+			mp.store(d, r, idx, addr, rec)
+			tee.Tick(int64(off % 4))
+			store(addr)
 		case 4, 5: // load and compare
-			if active == 0 {
+			if len(metas) == 0 {
 				continue
 			}
-			d := int(sel) % active
+			d := int(sel) % len(metas)
 			addr := diffAddr(fam, off)
 			r, idx := region(addr)
-			sr, sok := sh.loadAt(shInst[d], r, idx, addr)
-			mr, mok := mp.loadAt(mpInst[d], r, idx, addr)
+			sr, sok := sh.load(d, r, idx, addr)
+			mr, mok := mp.load(d, r, idx, addr)
 			if sok != mok || sr != mr {
-				tb.Fatalf("step %d: loadAt(depth %d, addr %#x) diverged: shadow (%+v, %v) vs map (%+v, %v)",
+				tb.Fatalf("step %d: load(depth %d, addr %#x) diverged: shadow (%+v, %v) vs map (%+v, %v)",
 					step, d, addr, sr, sok, mr, mok)
 			}
-		default: // batched memRun span
-			if active == 0 {
-				continue
+			tee.Tick(int64(off % 4))
+			tee.Load(addr)
+		case 6: // the innermost loop starts its next iteration
+			if n := len(metas); n > 0 {
+				sp := spOf(fam, off)
+				// Or the iteration's stack bound lands on, or just
+				// above, the last stored stack cell, which is then
+				// reloaded: tracked at the bound, skipped below it.
+				bound := lastStack != 0 && sel%2 == 0
+				if bound {
+					sp = lastStack + int64(sel/2%2)
+				}
+				tee.Tick(int64(sel % 4))
+				tee.IterLoop(metas[n-1], sp, nil)
+				if bound {
+					tee.Load(lastStack)
+				}
 			}
-			d := int(sel) % active
+		default: // a memory span
 			// The span contents derive from the op bytes via a local PRNG,
 			// so the fuzzer steers them deterministically.
 			rng := rand.New(rand.NewSource(int64(sel)<<16 | int64(fam)<<8 | int64(off)))
-			n := 1 + int(fam)%16
-			evs := make([]memEv, 0, n)
-			tick := int64(0)
-			for j := 0; j < n; j++ {
+			for n := 1 + int(fam)%16; n > 0; n-- {
+				tee.Tick(int64(rng.Intn(5)))
 				addr := diffAddr(byte(rng.Intn(256)), byte(rng.Intn(256)))
-				r, idx := region(addr)
-				evs = append(evs, memEv{idx: idx, addr: addr, tick: tick,
-					kind: uint8(rng.Intn(2)), reg: int8(r)})
-				tick += int64(rng.Intn(5))
-			}
-			iter, offBase := int64(off%9), int64(sel)
-			var spLimit int64
-			if off%2 == 0 {
-				// Exercise the cactus-stack filter boundary: addresses in
-				// [spLimit, StackTop) are tracked, below it skipped.
-				spLimit = int64(interp.StackTop) - 1 - int64(fam)
-			}
-			ns := sh.memRun(shInst[d], evs, iter, offBase, spLimit, shIdx, shRec)
-			nm := mp.memRun(mpInst[d], evs, iter, offBase, spLimit, mpIdx, mpRec)
-			if ns != nm {
-				tb.Fatalf("step %d: memRun(depth %d, %d evs) hit count diverged: shadow %d vs map %d",
-					step, d, len(evs), ns, nm)
-			}
-			for h := 0; h < ns; h++ {
-				if shIdx[h] != mpIdx[h] || shRec[h] != mpRec[h] {
-					tb.Fatalf("step %d: memRun hit %d diverged: shadow (ev %d, %+v) vs map (ev %d, %+v)",
-						step, h, shIdx[h], shRec[h], mpIdx[h], mpRec[h])
+				if rng.Intn(2) == 0 {
+					tee.Load(addr)
+				} else {
+					store(addr)
 				}
 			}
 		}
 	}
+	tee.finish()
 }
 
 // TestTrackerDifferentialProperty replays randomized operation streams
@@ -240,12 +280,11 @@ func TestShadowPageGeometry(t *testing.T) {
 				continue // regLow's cap (116) lies inside the first page
 			}
 			sh := newShadowTracker(trackerDiffInfo())
-			inst := &instance{depth: 0}
-			sh.enter(inst)
+			sh.enter(0)
 			lvl := sh.levels[0]
 			store := func(addr int64, rec writeRec) {
 				r, i := region(addr)
-				sh.storeAt(inst, r, i, addr, rec)
+				sh.store(0, r, i, addr, rec)
 			}
 			pages := func() int {
 				n := 0
@@ -280,8 +319,8 @@ func TestShadowPageGeometry(t *testing.T) {
 			if n := pages(); n != 1 {
 				t.Errorf("%s idx %d: store into a held page allocated another (%d held)", reg.name, idx, n)
 			}
-			if rec, ok := sh.loadAt(inst, reg.r, idx, addr); !ok || rec != want {
-				t.Errorf("%s idx %d: loadAt = (%+v, %v), want (%+v, true)", reg.name, idx, rec, ok, want)
+			if rec, ok := sh.load(0, reg.r, idx, addr); !ok || rec != want {
+				t.Errorf("%s idx %d: load = (%+v, %v), want (%+v, true)", reg.name, idx, rec, ok, want)
 			}
 			// The first cell of the next page takes one more page; the
 			// directory may double to reach it, but not past the region.
@@ -307,32 +346,30 @@ func TestShadowPageGeometry(t *testing.T) {
 }
 
 // TestShadowOverflowPruneBounded pins the overflow-map prune on generation
-// bump: 10k enter/drop cycles, each storing fresh wild addresses, must not
+// bump: 10k enter cycles, each storing fresh wild addresses, must not
 // accumulate stale records. Before the prune, every cycle's overflow
 // entries outlived their instance forever; now a bump clears any map past
 // overflowPruneLimit, so retention is bounded by limit + one cycle's
 // writes regardless of churn.
 func TestShadowOverflowPruneBounded(t *testing.T) {
 	sh := newShadowTracker(trackerDiffInfo())
-	inst := &instance{depth: 0}
 	const cycles, perCycle = 10000, 8
 	for c := 0; c < cycles; c++ {
-		sh.enter(inst)
+		sh.enter(0)
 		// Fresh overflow addresses every cycle: beyond the heap flat cap.
 		base := int64(interp.HeapBase) + heapFlatCap + int64(c*perCycle)
 		for j := int64(0); j < perCycle; j++ {
 			addr := base + j
 			r, idx := region(addr)
-			sh.storeAt(inst, r, idx, addr, writeRec{iter: int64(c), off: j})
+			sh.store(0, r, idx, addr, writeRec{iter: int64(c), off: j})
 			// The live instance still sees its own overflow writes.
-			if rec, ok := sh.loadAt(inst, r, idx, addr); !ok || rec.iter != int64(c) {
+			if rec, ok := sh.load(0, r, idx, addr); !ok || rec.iter != int64(c) {
 				t.Fatalf("cycle %d: own overflow write invisible (ok=%v rec=%+v)", c, ok, rec)
 			}
 		}
-		sh.drop(inst)
 	}
 	if n := len(sh.levels[0].over); n > overflowPruneLimit+perCycle {
-		t.Fatalf("overflow map retains %d records after %d enter/drop cycles, want <= %d: stale entries accumulate across generations",
+		t.Fatalf("overflow map retains %d records after %d enter cycles, want <= %d: stale entries accumulate across generations",
 			n, cycles, overflowPruneLimit+perCycle)
 	}
 }

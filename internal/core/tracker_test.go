@@ -15,7 +15,7 @@ type trackerCase struct {
 
 var (
 	shadowCase = trackerCase{"shadow", func(info *analysis.ModuleInfo) depTracker { return newShadowTracker(info) }}
-	mapCase    = trackerCase{"legacy-map", func(*analysis.ModuleInfo) depTracker { return newMapTracker() }}
+	mapCase    = trackerCase{"legacy-map", func(*analysis.ModuleInfo) depTracker { return newMapTracker[writeRec]() }}
 )
 
 // bothTrackers runs a subtest under the shadow and the map tracker: every

@@ -73,6 +73,7 @@ func BenchmarkInterpDispatch(b *testing.B) {
 			b.Fatal(err)
 		}
 		vm := bytecode.NewVM(prog, interp.Config{})
+		vm.Reset() // the first Reset builds the global image; keep it untimed
 		var steps int64
 		b.ReportAllocs()
 		b.ResetTimer()
