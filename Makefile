@@ -29,14 +29,17 @@ test:
 race:
 	$(GO) test -race -count=1 ./...
 
-# Statement-coverage gate over the service and taxonomy layers. Atomic
-# mode so the gate composes with concurrent handler code; fails ci when
-# either package drops below COVER_MIN%.
+# Statement-coverage gate over the service, taxonomy and sweep-harness
+# layers. The harness is in so its one execution path (the per-benchmark
+# batch every sweep and Report takes, with its retry, failure fan-out and
+# cancel branches) stays covered. Atomic mode so the gate composes with
+# concurrent handler code; fails ci when the packages' combined coverage
+# drops below COVER_MIN%.
 COVER_MIN ?= 80
 cover:
 	$(GO) test -short -covermode=atomic -coverprofile=cover.out \
-		-coverpkg=loopapalooza/internal/serve,loopapalooza/internal/core \
-		./internal/serve ./internal/core
+		-coverpkg=loopapalooza/internal/serve,loopapalooza/internal/core,loopapalooza/internal/bench \
+		./internal/serve ./internal/core ./internal/bench
 	@$(GO) tool cover -func=cover.out | awk -v min=$(COVER_MIN) \
 		'/^total:/ { pct = $$3 + 0; printf "coverage: %s (gate %d%%)\n", $$3, min; \
 		  if (pct < min) { print "FAIL: coverage below gate"; exit 1 } }'

@@ -55,9 +55,10 @@ type Benchmark struct {
 	// Source is the LPC program.
 	Source string
 
-	// runHook, when set, replaces RunWith's execution. Test seam for
-	// fault injection (panics, synthetic budget errors).
-	runHook func(core.Config, core.RunOptions) (*core.Report, error)
+	// runHook, when set, replaces the harness's core.MultiRun call for
+	// this benchmark. Test seam for fault injection (panics, synthetic
+	// budget errors) on the path every sweep takes.
+	runHook func([]core.Config, core.RunOptions) ([]*core.Report, error)
 
 	// Analysis once-cell: each benchmark is parsed and analyzed exactly
 	// once per process, and the immutable ModuleInfo is shared by every
@@ -132,9 +133,6 @@ func (b *Benchmark) Run(cfg core.Config) (*core.Report, error) {
 // RunWith executes the limit study for one configuration under the given
 // budgets and cancellation context.
 func (b *Benchmark) RunWith(cfg core.Config, opts core.RunOptions) (*core.Report, error) {
-	if b.runHook != nil {
-		return b.runHook(cfg, opts)
-	}
 	info, err := b.Analyze()
 	if err != nil {
 		return nil, err

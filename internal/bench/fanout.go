@@ -1,11 +1,12 @@
 package bench
 
-// Run-once sweep batching: cells of one sweep that share a benchmark share
-// one execution through core.MultiRun (the §III-A/§III-B split — the event
-// stream is configuration-independent). The harness claims the missing
-// cells of a benchmark under its lock, runs them as one batch, and fills
-// every claimed cell from the shared event stream; cells already cached or
-// in flight are joined exactly as before.
+// Run-once sweep batching, the harness's one execution path: the cells of
+// one benchmark share one execution through core.MultiRun (the
+// §III-A/§III-B split — the event stream is configuration-independent).
+// The harness claims the missing cells of a benchmark under its lock, runs
+// them as one batch, and fills every claimed cell from the shared event
+// stream; cells already cached or in flight are joined. A Report miss is a
+// batch of one.
 
 import (
 	"bytes"
@@ -15,16 +16,20 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 
+	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/core"
 )
 
 // Stats counts the work a harness performed and the work fan-out batching
-// avoided. Executions is interpreter runs actually performed; Cells is the
-// number of cells those runs materialized; Saved is the executions a
-// one-run-per-cell harness would have needed on top (Cells - Executions,
-// ignoring retries). Traces counts event-trace files recorded.
+// avoided. Executions is interpreter runs actually performed (a retry is a
+// second one; a benchmark that fails to analyze runs nothing); Cells is the
+// number of cells those runs materialized, a retried cell counted once;
+// Saved is the executions a one-run-per-cell harness would have needed on
+// top (Cells - Executions, ignoring retries). Traces counts event-trace
+// files recorded.
 type Stats struct {
 	Executions int64
 	Cells      int64
@@ -41,87 +46,65 @@ func (h *Harness) Stats() Stats {
 
 // sweepBench materializes every cell of one benchmark, sharing a single
 // execution across the configurations that are not already cached or in
-// flight. Benchmarks with a run hook (fault-injection seam) and
-// single-config sweeps take the per-cell path.
-func (h *Harness) sweepBench(ctx context.Context, b *Benchmark, cfgs []core.Config, analysisErr error) []Cell {
-	out := make([]Cell, len(cfgs))
-	if analysisErr != nil || ctx.Err() != nil || b.runHook != nil || len(cfgs) < 2 {
-		for i, cfg := range cfgs {
-			out[i] = h.sweepCell(ctx, b, cfg, analysisErr)
-		}
-		return out
-	}
-
+// flight.
+func (h *Harness) sweepBench(ctx context.Context, b *Benchmark, cfgs []core.Config) []Cell {
 	// Claim the missing cells under the lock: the claimer executes them as
-	// one batch, everyone else joins the existing cells (singleflight,
-	// exactly as in the per-cell path).
-	type claim struct {
-		i int
-		c *cell
-	}
-	var owned []claim
+	// one batch, everyone else joins the existing cells (singleflight).
+	cells := make([]*cell, len(cfgs))
+	var batch []*cell
 	h.mu.Lock()
-	joined := make([]*cell, len(cfgs))
 	for i, cfg := range cfgs {
 		k := key(b, cfg)
-		if c := h.cells[k]; c != nil {
-			joined[i] = c
-			continue
+		c := h.cells[k]
+		if c == nil {
+			c = &cell{bench: b, cfg: cfg, done: make(chan struct{})}
+			h.cells[k] = c
+			batch = append(batch, c)
 		}
-		c := &cell{bench: b, cfg: cfg, done: make(chan struct{})}
-		h.cells[k] = c
-		owned = append(owned, claim{i: i, c: c})
+		cells[i] = c
 	}
 	h.mu.Unlock()
 
-	if len(owned) > 0 {
-		// Invalid configurations fail exactly as their per-config Run
-		// would, without poisoning the batch.
-		batch := owned[:0:0]
-		for _, cl := range owned {
-			if err := cl.c.cfg.Validate(); err != nil {
-				cl.c.err, cl.c.attempts = err, 1
-				h.finishCell(cl.c)
-				continue
-			}
-			batch = append(batch, cl)
+	// Invalid configurations fail exactly as their per-config Run would,
+	// without poisoning the batch.
+	valid := batch[:0]
+	for _, c := range batch {
+		if err := c.cfg.Validate(); err != nil {
+			c.err = err
+			h.finishCell(c)
+			continue
 		}
-		if len(batch) > 0 {
-			bcfgs := make([]core.Config, len(batch))
-			for i, cl := range batch {
-				bcfgs[i] = cl.c.cfg
+		valid = append(valid, c)
+	}
+	if len(valid) > 0 {
+		bcfgs := make([]core.Config, len(valid))
+		for i, c := range valid {
+			bcfgs[i] = c.cfg
+		}
+		reps, err, attempts := h.runBatch(ctx, b, bcfgs)
+		for i, c := range valid {
+			if err == nil {
+				c.report = reps[i]
+			} else {
+				c.err = err
 			}
-			reps, err, attempts := h.runBatch(ctx, b, bcfgs)
-			for i, cl := range batch {
-				if err == nil {
-					cl.c.report = reps[i]
-				} else {
-					cl.c.err = err
-				}
-				cl.c.attempts = attempts
-				h.finishCell(cl.c)
-			}
+			c.attempts = attempts
+			h.finishCell(c)
 		}
 	}
 
-	for i, cfg := range cfgs {
-		c := joined[i]
-		if c == nil {
-			for _, cl := range owned {
-				if cl.i == i {
-					c = cl.c
-				}
-			}
-		}
+	out := make([]Cell, len(cfgs))
+	for i, c := range cells {
 		<-c.done
-		out[i] = Cell{Bench: b.Name, Config: cfg,
+		out[i] = Cell{Bench: b.Name, Config: cfgs[i],
 			Report: c.report, Err: c.err, Outcome: core.Classify(c.err), Attempts: c.attempts}
 	}
 	return out
 }
 
 // finishCell publishes a completed cell, forgetting it when it was
-// canceled so a later sweep can retry (same policy as the per-cell path).
+// canceled: cancellation is a property of the sweep, not the cell, so a
+// later sweep can retry.
 func (h *Harness) finishCell(c *cell) {
 	if errors.Is(c.err, core.ErrCanceled) {
 		h.mu.Lock()
@@ -132,13 +115,21 @@ func (h *Harness) finishCell(c *cell) {
 }
 
 // runBatch executes one benchmark once for a batch of configurations,
-// recording a trace when the harness asks for one, retrying once on a
-// transient failure, and keeping the dedup counters.
+// retrying once on a transient failure, and keeps the dedup counters. It
+// returns the number of executions it ran: none when ctx is already done
+// or the benchmark fails to analyze.
 func (h *Harness) runBatch(ctx context.Context, b *Benchmark, cfgs []core.Config) ([]*core.Report, error, int) {
-	reps, err := h.batchOnce(ctx, b, cfgs)
+	if ctx.Err() != nil {
+		return nil, fmt.Errorf("bench %s: %w", b.Name, core.ErrCanceled), 0
+	}
+	info, err := b.Analyze()
+	if err != nil {
+		return nil, err, 0
+	}
+	reps, err := h.batchOnce(ctx, b, info, cfgs)
 	attempts := 1
 	if err != nil && h.opts.RetryTransient && transient(err) {
-		reps, err = h.batchOnce(ctx, b, cfgs)
+		reps, err = h.batchOnce(ctx, b, info, cfgs)
 		attempts = 2
 	}
 	h.mu.Lock()
@@ -149,22 +140,28 @@ func (h *Harness) runBatch(ctx context.Context, b *Benchmark, cfgs []core.Config
 	return reps, err, attempts
 }
 
-// batchOnce is one fan-out execution attempt.
-func (h *Harness) batchOnce(ctx context.Context, b *Benchmark, cfgs []core.Config) ([]*core.Report, error) {
-	info, err := b.Analyze()
-	if err != nil {
-		return nil, err
-	}
+// batchOnce is one execution attempt: core.MultiRun, or the benchmark's
+// run hook in its place, with a panic converted into a per-batch
+// *core.PanicError instead of crashing the process.
+func (h *Harness) batchOnce(ctx context.Context, b *Benchmark, info *analysis.ModuleInfo, cfgs []core.Config) (reps []*core.Report, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			reps, err = nil, fmt.Errorf("bench %s: %w", b.Name,
+				&core.PanicError{Val: p, Stack: string(debug.Stack())})
+		}
+	}()
 	opts := h.opts.Run
-	if ctx != nil {
-		opts.Ctx = ctx
-	}
+	opts.Ctx = ctx
 	var trace *traceFile
 	if h.opts.TraceDir != "" {
 		trace = newTraceFile(h.opts.TraceDir, b, opts)
 		opts.Trace = &trace.buf
 	}
-	reps, err := core.MultiRun(info, cfgs, opts)
+	if b.runHook != nil {
+		reps, err = b.runHook(cfgs, opts)
+	} else {
+		reps, err = core.MultiRun(info, cfgs, opts)
+	}
 	if err != nil {
 		return nil, err
 	}

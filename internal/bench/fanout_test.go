@@ -225,3 +225,39 @@ func TestHarnessTraceDir(t *testing.T) {
 		}
 	}
 }
+
+// TestReportMissRecordsTrace: a Report miss is a batch of one, so a
+// TraceDir harness records its execution as it does a sweep's, and the
+// trace replays to the same report.
+func TestReportMissRecordsTrace(t *testing.T) {
+	dir := t.TempDir()
+	b := sweepBenches(t)[2]
+	cfg := core.BestHELIX()
+	h := NewHarnessWith(HarnessOptions{TraceDir: dir})
+	rep, err := h.Report(b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := h.Stats(); st.Traces != 1 || st.Executions != 1 {
+		t.Fatalf("stats = %+v, want 1 execution and 1 trace", st)
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.lptrace"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("trace files = %v (%v), want 1", files, err)
+	}
+	data, err := os.ReadFile(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := b.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := core.ReplayTrace(b.Name, info, cfg, core.RunOptions{}, bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if err := core.CompareReports(rep, got); err != nil {
+		t.Error(err)
+	}
+}

@@ -15,15 +15,6 @@ import (
 // figure — suite geomeans are computed over the surviving benchmarks and
 // missing cells are annotated with their failure class (e.g. "n/a(steps)").
 
-// Prefetch runs every (benchmark, config) pair concurrently and caches the
-// per-cell outcome. It returns the joined per-cell errors (nil when every
-// cell succeeded); unlike the old first-error semantics, a failure neither
-// aborts the sweep nor discards completed work, and each cell's own error
-// stays visible to later Report calls.
-func (h *Harness) Prefetch(benches []*Benchmark, cfgs []core.Config) error {
-	return h.Sweep(context.Background(), benches, cfgs).Err()
-}
-
 // GeoMean returns the geometric mean of xs (1 if empty).
 func GeoMean(xs []float64) float64 {
 	if len(xs) == 0 {

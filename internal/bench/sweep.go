@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"sort"
 	"strings"
 	"sync"
@@ -14,7 +13,8 @@ import (
 )
 
 // Harness is the fault-isolated sweep engine: it runs benchmark ×
-// configuration cells concurrently, deduplicates in-flight runs with
+// configuration cells concurrently, one execution per benchmark shared by
+// the cells it still needs (fanout.go), deduplicates in-flight cells with
 // per-cell singleflight locking, recovers worker panics into per-cell
 // errors, enforces the configured resource budgets, and caches every
 // outcome so regenerating several figures shares work.
@@ -36,13 +36,15 @@ type HarnessOptions struct {
 	RetryTransient bool
 	// Workers bounds sweep concurrency (0 = GOMAXPROCS).
 	Workers int
-	// TraceDir, when set, records each fan-out execution's event stream as
-	// a binary trace file (TraceFileName) in this directory.
+	// TraceDir, when set, records the event stream of every execution (a
+	// Report miss and a one-configuration sweep included) as a binary
+	// trace file (TraceFileName) in this directory.
 	TraceDir string
 }
 
-// cell is one (benchmark, configuration) slot. The goroutine that creates
-// the cell runs it; everyone else waits on done (singleflight).
+// cell is one (benchmark, configuration) slot. The sweep that claims the
+// cell runs it in its benchmark's batch; everyone else waits on done
+// (singleflight).
 type cell struct {
 	bench    *Benchmark
 	cfg      core.Config
@@ -64,7 +66,8 @@ type Cell struct {
 	Err error
 	// Outcome classifies Err into the failure taxonomy.
 	Outcome core.Outcome
-	// Attempts counts executions of the cell (2 after a transient retry).
+	// Attempts counts executions of the cell (2 after a transient retry,
+	// 0 when it failed before any ran).
 	Attempts int
 }
 
@@ -79,71 +82,16 @@ func NewHarnessWith(o HarnessOptions) *Harness {
 
 func key(b *Benchmark, cfg core.Config) string { return b.Name + "|" + cfg.String() }
 
-// Report runs (or recalls) one benchmark under one configuration.
-// Concurrent callers of the same cell share a single execution.
+// Report runs (or recalls) one benchmark under one configuration, as a
+// batch of one under the harness context. Concurrent callers of the same
+// cell share a single execution.
 func (h *Harness) Report(b *Benchmark, cfg core.Config) (*core.Report, error) {
-	c := h.cell(nil, b, cfg)
-	return c.report, c.err
-}
-
-// cell returns the completed cell for (b, cfg), executing it if this is
-// the first request. ctx, when non-nil, overrides the harness context for
-// this execution (the sweep-wide context).
-func (h *Harness) cell(ctx context.Context, b *Benchmark, cfg core.Config) *cell {
-	k := key(b, cfg)
-	h.mu.Lock()
-	c := h.cells[k]
-	if c != nil {
-		h.mu.Unlock()
-		<-c.done
-		return c
+	ctx := h.opts.Run.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	c = &cell{bench: b, cfg: cfg, done: make(chan struct{})}
-	h.cells[k] = c
-	h.mu.Unlock()
-
-	defer close(c.done)
-	c.report, c.err, c.attempts = h.runCell(ctx, b, cfg)
-	if errors.Is(c.err, core.ErrCanceled) {
-		// Cancellation is a property of the sweep, not the cell: forget
-		// it so a later sweep can retry.
-		h.mu.Lock()
-		delete(h.cells, k)
-		h.mu.Unlock()
-	}
-	return c
-}
-
-// runCell executes one cell, retrying once when the failure is transient
-// and the harness policy allows it.
-func (h *Harness) runCell(ctx context.Context, b *Benchmark, cfg core.Config) (*core.Report, error, int) {
-	r, err := h.runOnce(ctx, b, cfg)
-	if err != nil && h.opts.RetryTransient && transient(err) {
-		r, err = h.runOnce(ctx, b, cfg)
-		return r, err, 2
-	}
-	return r, err, 1
-}
-
-// runOnce executes one attempt, converting a worker panic into a per-cell
-// *core.PanicError instead of crashing the process.
-func (h *Harness) runOnce(ctx context.Context, b *Benchmark, cfg core.Config) (r *core.Report, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			r = nil
-			err = fmt.Errorf("bench %s under %s: %w", b.Name, cfg,
-				&core.PanicError{Val: p, Stack: string(debug.Stack())})
-		}
-	}()
-	opts := h.opts.Run
-	if ctx != nil {
-		opts.Ctx = ctx
-	}
-	h.mu.Lock()
-	h.stats.Executions++
-	h.stats.Cells++
-	h.mu.Unlock()
-	return b.RunWith(cfg, opts)
+	c := h.sweepBench(ctx, b, []core.Config{cfg})[0]
+	return c.Report, c.Err
 }
 
 // transient reports whether a failure is worth one retry: recovered
@@ -169,19 +117,6 @@ func (h *Harness) Sweep(ctx context.Context, benches []*Benchmark, cfgs []core.C
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Analyze serially first: analysis mutates shared caches once per
-	// benchmark and is cheap relative to the runs. A benchmark that fails
-	// to analyze fails each of its cells, not the sweep.
-	analysisErr := map[string]error{}
-	for _, b := range benches {
-		if ctx.Err() != nil {
-			break
-		}
-		if _, err := b.Analyze(); err != nil {
-			analysisErr[b.Name] = err
-		}
-	}
-
 	// One job per benchmark: all of a benchmark's cells share one
 	// execution through the fan-out layer, so the unit of scheduling is
 	// the unit of execution.
@@ -202,7 +137,7 @@ func (h *Harness) Sweep(ctx context.Context, benches []*Benchmark, cfgs []core.C
 		go func() {
 			defer wg.Done()
 			for j := range ch {
-				copy(out[j.i*len(cfgs):], h.sweepBench(ctx, j.b, cfgs, analysisErr[j.b.Name]))
+				copy(out[j.i*len(cfgs):], h.sweepBench(ctx, j.b, cfgs))
 			}
 		}()
 	}
@@ -217,22 +152,6 @@ func (h *Harness) Sweep(ctx context.Context, benches []*Benchmark, cfgs []core.C
 		sr.Counts[c.Outcome]++
 	}
 	return sr
-}
-
-// sweepCell materializes one Cell of a sweep.
-func (h *Harness) sweepCell(ctx context.Context, b *Benchmark, cfg core.Config, analysisErr error) Cell {
-	c := Cell{Bench: b.Name, Config: cfg}
-	switch {
-	case analysisErr != nil:
-		c.Err = analysisErr
-	case ctx.Err() != nil:
-		c.Err = fmt.Errorf("bench %s under %s: %w", b.Name, cfg, core.ErrCanceled)
-	default:
-		cc := h.cell(ctx, b, cfg)
-		c.Report, c.Err, c.Attempts = cc.report, cc.err, cc.attempts
-	}
-	c.Outcome = core.Classify(c.Err)
-	return c
 }
 
 // OK counts successful cells.

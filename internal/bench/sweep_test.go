@@ -7,13 +7,19 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"loopapalooza/internal/core"
+	"loopapalooza/internal/interp"
 )
+
+// hookFunc is the shape of Benchmark.runHook: core.MultiRun's, minus the
+// analysis.
+type hookFunc = func([]core.Config, core.RunOptions) ([]*core.Report, error)
 
 // fakeBench builds an unregistered benchmark whose execution is replaced
 // by hook — the fault-injection seam of the sweep tests.
-func fakeBench(name string, hook func(core.Config, core.RunOptions) (*core.Report, error)) *Benchmark {
+func fakeBench(name string, hook hookFunc) *Benchmark {
 	return &Benchmark{
 		Name:    name,
 		Suite:   SuiteEEMBC,
@@ -23,8 +29,18 @@ func fakeBench(name string, hook func(core.Config, core.RunOptions) (*core.Repor
 	}
 }
 
-func okReport(name string, cfg core.Config) *core.Report {
-	return &core.Report{Benchmark: name, Config: cfg, SerialCost: 1000, ParallelCost: 100}
+// okReports is a successful execution's reports, one per configuration.
+func okReports(name string, cfgs []core.Config) []*core.Report {
+	out := make([]*core.Report, len(cfgs))
+	for i, cfg := range cfgs {
+		out[i] = &core.Report{Benchmark: name, Config: cfg, SerialCost: 1000, ParallelCost: 100}
+	}
+	return out
+}
+
+// failing is a hook whose every execution fails with err.
+func failing(err error) hookFunc {
+	return func([]core.Config, core.RunOptions) ([]*core.Report, error) { return nil, err }
 }
 
 // runawayBench is a real LPC kernel that never terminates — only budgets
@@ -39,10 +55,10 @@ func runawayBench(name string) *Benchmark {
 }
 
 func TestSweepIsolatesPanics(t *testing.T) {
-	good := fakeBench("good", func(cfg core.Config, _ core.RunOptions) (*core.Report, error) {
-		return okReport("good", cfg), nil
+	good := fakeBench("good", func(cfgs []core.Config, _ core.RunOptions) ([]*core.Report, error) {
+		return okReports("good", cfgs), nil
 	})
-	bad := fakeBench("bad", func(core.Config, core.RunOptions) (*core.Report, error) {
+	bad := fakeBench("bad", func([]core.Config, core.RunOptions) ([]*core.Report, error) {
 		panic("injected worker panic")
 	})
 	h := NewHarness()
@@ -73,11 +89,11 @@ func TestSweepIsolatesPanics(t *testing.T) {
 
 func TestSweepRetriesTransientOnce(t *testing.T) {
 	var calls atomic.Int64
-	flaky := fakeBench("flaky", func(cfg core.Config, _ core.RunOptions) (*core.Report, error) {
+	flaky := fakeBench("flaky", func(cfgs []core.Config, _ core.RunOptions) ([]*core.Report, error) {
 		if calls.Add(1) == 1 {
 			panic("transient glitch")
 		}
-		return okReport("flaky", cfg), nil
+		return okReports("flaky", cfgs), nil
 	})
 	h := NewHarnessWith(HarnessOptions{RetryTransient: true})
 	sr := h.Sweep(context.Background(), []*Benchmark{flaky}, []core.Config{{Model: core.DOALL}})
@@ -90,7 +106,7 @@ func TestSweepRetriesTransientOnce(t *testing.T) {
 
 	// Deterministic failures are not retried.
 	var detCalls atomic.Int64
-	det := fakeBench("det", func(core.Config, core.RunOptions) (*core.Report, error) {
+	det := fakeBench("det", func([]core.Config, core.RunOptions) ([]*core.Report, error) {
 		detCalls.Add(1)
 		return nil, core.ErrStepLimit
 	})
@@ -150,10 +166,10 @@ func TestSweepClassifiesBudgetOutcomes(t *testing.T) {
 func TestReportSingleflight(t *testing.T) {
 	var calls atomic.Int64
 	gate := make(chan struct{})
-	slow := fakeBench("slow", func(cfg core.Config, _ core.RunOptions) (*core.Report, error) {
+	slow := fakeBench("slow", func(cfgs []core.Config, _ core.RunOptions) ([]*core.Report, error) {
 		calls.Add(1)
 		<-gate
-		return okReport("slow", cfg), nil
+		return okReports("slow", cfgs), nil
 	})
 	h := NewHarness()
 	cfg := core.Config{Model: core.DOALL}
@@ -187,9 +203,9 @@ func TestSweepHonorsCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var calls atomic.Int64
-	b := fakeBench("b", func(cfg core.Config, _ core.RunOptions) (*core.Report, error) {
+	b := fakeBench("b", func(cfgs []core.Config, _ core.RunOptions) ([]*core.Report, error) {
 		calls.Add(1)
-		return okReport("b", cfg), nil
+		return okReports("b", cfgs), nil
 	})
 	h := NewHarness()
 	sr := h.Sweep(ctx, []*Benchmark{b}, []core.Config{{Model: core.DOALL}})
@@ -204,15 +220,105 @@ func TestSweepHonorsCancellation(t *testing.T) {
 }
 
 func TestSweepMidRunCancellation(t *testing.T) {
-	// A real runaway kernel, canceled mid-run: the interpreter's poll must
-	// stop it and classify the cell as canceled.
+	// A real runaway kernel, canceled once it is executing: the
+	// interpreter's poll must stop it and classify the cell as canceled.
+	// The hook runs the kernel through core.MultiRun on its first call and
+	// stands in for a fixed kernel afterwards.
+	spin := runawayBench("spin")
+	info, err := spin.Analyze()
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
-	go cancel()
+	defer cancel()
+	var calls atomic.Int64
+	spin.runHook = func(cfgs []core.Config, opts core.RunOptions) ([]*core.Report, error) {
+		if calls.Add(1) > 1 {
+			return okReports("spin", cfgs), nil
+		}
+		time.AfterFunc(10*time.Millisecond, cancel)
+		return core.MultiRun(info, cfgs, opts)
+	}
 	h := NewHarness()
-	sr := h.Sweep(ctx, []*Benchmark{runawayBench("spin")}, []core.Config{{Model: core.DOALL}})
+	cfgs := []core.Config{{Model: core.DOALL}}
+	sr := h.Sweep(ctx, []*Benchmark{spin}, cfgs)
 	c := sr.Cells[0]
 	if c.Outcome != core.OutcomeCanceled {
 		t.Fatalf("outcome = %v (err %v), want canceled", c.Outcome, c.Err)
+	}
+	var le *interp.LimitError
+	if !errors.As(c.Err, &le) || le.Step == 0 {
+		t.Errorf("canceled cell error %v, want the interpreter's poll to stop the run", c.Err)
+	}
+	// Cancellation must not poison the cache: a fresh sweep runs the cell
+	// again and succeeds.
+	sr = h.Sweep(context.Background(), []*Benchmark{spin}, cfgs)
+	if sr.OK() != 1 || calls.Load() != 2 {
+		t.Fatalf("post-cancel sweep: %v after %d executions, want success on the 2nd", sr.Cells[0].Err, calls.Load())
+	}
+}
+
+// TestSweepRunsHookOncePerBatch: the run hook sits where core.MultiRun
+// does, so a benchmark swept under several configurations executes once,
+// and a failed execution fails every cell of its batch.
+func TestSweepRunsHookOncePerBatch(t *testing.T) {
+	var calls atomic.Int64
+	b := fakeBench("batched", func(cfgs []core.Config, _ core.RunOptions) ([]*core.Report, error) {
+		calls.Add(1)
+		return okReports("batched", cfgs), nil
+	})
+	cfgs := []core.Config{{Model: core.DOALL}, core.BestPDOALL(), core.BestHELIX()}
+	h := NewHarness()
+	sr := h.Sweep(context.Background(), []*Benchmark{b}, cfgs)
+	if sr.OK() != len(cfgs) {
+		t.Fatalf("counts = %v, want %d ok", sr.Counts, len(cfgs))
+	}
+	for i, c := range sr.Cells {
+		if c.Report.Config != cfgs[i] || c.Attempts != 1 {
+			t.Errorf("cell %d: report for %s after %d attempts, want %s after 1", i, c.Report.Config, c.Attempts, cfgs[i])
+		}
+	}
+	if calls.Load() != 1 {
+		t.Errorf("hook ran %d times for one batch, want 1", calls.Load())
+	}
+	if st, want := h.Stats(), (Stats{Executions: 1, Cells: 3, Saved: 2}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
+	}
+
+	var failCalls atomic.Int64
+	bad := fakeBench("bad", func([]core.Config, core.RunOptions) ([]*core.Report, error) {
+		failCalls.Add(1)
+		return nil, core.ErrMemLimit
+	})
+	sr = h.Sweep(context.Background(), []*Benchmark{bad}, cfgs)
+	if sr.Counts[core.OutcomeMemLimit] != len(cfgs) || failCalls.Load() != 1 {
+		t.Errorf("counts = %v after %d executions, want %d mem-limit cells from 1", sr.Counts, failCalls.Load(), len(cfgs))
+	}
+}
+
+// TestSweepAnalysisFailureRunsNothing: a benchmark that does not compile
+// fails every cell with its compile error and counts no execution.
+func TestSweepAnalysisFailureRunsNothing(t *testing.T) {
+	broken := &Benchmark{
+		Name: "broken", Suite: SuiteEEMBC, Modeled: "injected compile error",
+		Source: `func main( int { return 0; }`,
+	}
+	cfgs := []core.Config{{Model: core.DOALL}, core.BestHELIX()}
+	h := NewHarness()
+	sr := h.Sweep(context.Background(), []*Benchmark{broken}, cfgs)
+	if got := len(sr.Failed()); got != len(cfgs) {
+		t.Fatalf("failed cells = %d, want %d", got, len(cfgs))
+	}
+	for _, c := range sr.Cells {
+		if c.Attempts != 0 {
+			t.Errorf("%s: %d attempts, want 0", c.Config, c.Attempts)
+		}
+	}
+	if st := h.Stats(); st != (Stats{}) {
+		t.Errorf("stats = %+v, want none", st)
+	}
+	if _, err := h.Report(broken, cfgs[0]); err == nil {
+		t.Error("Report of the broken benchmark succeeded")
 	}
 }
 
@@ -227,9 +333,7 @@ func TestSuiteGeomeanSurvivesFailedCells(t *testing.T) {
 	if b.runHook != nil {
 		t.Fatal("registry benchmark already hooked")
 	}
-	b.runHook = func(core.Config, core.RunOptions) (*core.Report, error) {
-		return nil, core.ErrStepLimit
-	}
+	b.runHook = failing(core.ErrStepLimit)
 	defer func() { b.runHook = nil }()
 
 	h := NewHarness()
@@ -263,9 +367,7 @@ func TestSuiteSpeedupAllCellsFailed(t *testing.T) {
 		if b.runHook != nil {
 			t.Fatal("registry benchmark already hooked")
 		}
-		b.runHook = func(core.Config, core.RunOptions) (*core.Report, error) {
-			return nil, core.ErrMemLimit
-		}
+		b.runHook = failing(core.ErrMemLimit)
 		hooked = append(hooked, b)
 	}
 	defer func() {
@@ -290,9 +392,7 @@ func TestFigureDegradesGracefully(t *testing.T) {
 	if b.runHook != nil {
 		t.Fatal("registry benchmark already hooked")
 	}
-	b.runHook = func(core.Config, core.RunOptions) (*core.Report, error) {
-		return nil, core.ErrStepLimit
-	}
+	b.runHook = failing(core.ErrStepLimit)
 	defer func() { b.runHook = nil }()
 
 	h := NewHarness()

@@ -246,6 +246,7 @@ type Coordinator struct {
 	wal          *wal.Log
 	replaying    bool
 	walDirty     bool
+	walErr       error // first failed append since the last sync
 	recSinceSnap int
 
 	janitorStop chan struct{}

@@ -168,18 +168,21 @@ func (c *Coordinator) WALStats() wal.Stats {
 }
 
 // journalLocked appends one record to the log. It is a no-op without a
-// log or during replay; durability waits for the caller's flush.
+// log or during replay; durability waits for the caller's flush. A record
+// that cannot be appended fails that flush.
 func (c *Coordinator) journalLocked(rec walRec) {
 	if c.wal == nil || c.replaying {
 		return
 	}
 	payload, err := json.Marshal(rec)
+	if err == nil {
+		err = c.wal.Append(payload)
+	}
 	if err != nil {
 		c.stats.WALErrors++
-		return
-	}
-	if err := c.wal.Append(payload); err != nil {
-		c.stats.WALErrors++
+		if c.walErr == nil {
+			c.walErr = err
+		}
 		return
 	}
 	c.walDirty = true
@@ -214,19 +217,25 @@ func (c *Coordinator) flushLocked() error {
 	return nil
 }
 
-// syncLocked makes every journaled record durable.
+// syncLocked makes every journaled record durable, or fails when a record
+// since the last sync never reached the journal.
 func (c *Coordinator) syncLocked() error {
-	if c.wal == nil || !c.walDirty {
+	if c.wal == nil || (!c.walDirty && c.walErr == nil) {
 		return nil
 	}
-	c.walDirty = false
-	if err := c.wal.Sync(); err != nil {
-		// After a failed fsync the journal's durable prefix is unknowable
-		// (partial writes, dropped pages), and retrying the buffer could
-		// persist records for transitions the caller is about to refuse.
-		// Abandon the log and degrade to in-memory operation instead of
-		// risking a half-true replay.
-		c.stats.WALErrors++
+	err := c.walErr
+	c.walDirty, c.walErr = false, nil
+	if err == nil {
+		if err = c.wal.Sync(); err != nil {
+			c.stats.WALErrors++
+		}
+	}
+	if err != nil {
+		// After a failed append or fsync the journal's durable prefix is
+		// unknowable (a missing record, partial writes, dropped pages), and
+		// retrying the buffer could persist records for transitions the
+		// caller is about to refuse. Abandon the log and degrade to
+		// in-memory operation instead of risking a half-true replay.
 		c.wal.Crash()
 		c.wal = nil
 		return err

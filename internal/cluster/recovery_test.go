@@ -273,6 +273,45 @@ func TestRecoverAdmissionCompactedOnSubmit(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesUnjournaledAdmission: when a record never reaches the
+// journal (its append fails), the ack that depends on it must fail like a
+// failed fsync does: Submit refuses the job instead of acknowledging an id
+// a crash would lose, and Claim refuses a lease it could not journal.
+func TestRecoverRefusesUnjournaledAdmission(t *testing.T) {
+	b, cfgs := testBench(t)
+	breakJournal := func(c *Coordinator) {
+		c.mu.Lock()
+		c.wal.Crash() // every later append fails
+		c.mu.Unlock()
+	}
+
+	c := openTestCoordinator(t, t.TempDir(), newFakeClock(), CoordinatorOptions{})
+	defer c.Close()
+	breakJournal(c)
+	if id, err := c.Submit("acme", []*bench.Benchmark{b}, cfgs, false); err == nil {
+		t.Fatalf("Submit acknowledged %s although its admission was never journaled", id)
+	}
+	if _, err := c.Status("job-000001"); err == nil {
+		t.Error("the refused job is visible")
+	}
+	if st := c.Stats(); st.WALErrors == 0 {
+		t.Error("the failed append was not counted")
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+
+	c2 := openTestCoordinator(t, t.TempDir(), newFakeClock(), CoordinatorOptions{})
+	defer c2.Close()
+	if _, err := c2.Submit("acme", []*bench.Benchmark{b}, cfgs, false); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	breakJournal(c2)
+	if task, err := c2.Claim(context.Background(), ClaimRequest{Worker: "w1"}); err == nil {
+		t.Fatalf("Claim granted %s although its lease was never journaled", task.ID)
+	}
+}
+
 func TestRecoverRetryingExposedInStatus(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()
