@@ -1,5 +1,5 @@
 // Command benchjson converts `go test -bench` output into a
-// machine-readable JSON summary (BENCH_PR19.json). It parses every
+// machine-readable JSON summary (BENCH_PR21.json). It parses every
 // benchmark line, keeps all reported metrics (ns/op, B/op, allocs/op,
 // and custom metrics like instrs/sec or trace-bytes), records the
 // measuring box's CPU count, and derives these ratio tables:
@@ -11,6 +11,9 @@
 //     interpreting goroutine (Parallelism=1).
 //   - seed_vs_current: current numbers against baselines measured at the
 //     pre-shadow-memory seed commit with identical access patterns.
+//   - parent_vs_current: BenchmarkFrontEnd against its numbers at the
+//     parent of the dense-index front end, so one file holds both sides
+//     of that change.
 //
 // BENCH_PR5.json and BENCH_PR9.json preserve the retired
 // fanout_vs_perconfig and batched_vs_perevent tables, whose per-config
@@ -121,6 +124,17 @@ var seedBaselines = map[string]seedBaseline{
 	},
 }
 
+// parentBaselines: BenchmarkFrontEnd at commit 9764894, the parent of the
+// dense-index front end, measured with the benchmark added there; medians
+// of 5 runs of 20 iterations alternated with the change's on the same
+// 2-CPU box.
+var parentBaselines = map[string]seedBaseline{
+	"BenchmarkFrontEnd": {
+		current: "BenchmarkFrontEnd",
+		metrics: map[string]float64{"ns/op": 36.21e6, "B/op": 11055861, "allocs/op": 138737},
+	},
+}
+
 // extraCurrent holds macro measurements that do not come from `go test
 // -bench` and are injected into the report alongside the parsed lines:
 // the wall time of `./lpbench > /dev/null` (all figures), the median of
@@ -146,6 +160,7 @@ type output struct {
 	ParallelVsSerial map[string]map[string]Ratio `json:"parallel_vs_serial"`
 	BytecodeLowering *loweringStats              `json:"bytecode_lowering,omitempty"`
 	SeedVsCurrent    map[string]map[string]Ratio `json:"seed_vs_current"`
+	ParentVsCurrent  map[string]map[string]Ratio `json:"parent_vs_current,omitempty"`
 }
 
 // loweringStats is the static opcode mix of the bytecode compiler over
@@ -374,14 +389,17 @@ func run() error {
 		}
 	}
 
-	seedVsCurrent := map[string]map[string]Ratio{}
-	for name, base := range seedBaselines {
-		cur, ok := byName[base.current]
-		if !ok {
-			continue
+	against := func(baselines map[string]seedBaseline) map[string]map[string]Ratio {
+		out := map[string]map[string]Ratio{}
+		for name, base := range baselines {
+			if cur, ok := byName[base.current]; ok {
+				out[name] = ratios(base.metrics, cur)
+			}
 		}
-		seedVsCurrent[name] = ratios(base.metrics, cur)
+		return out
 	}
+	seedVsCurrent := against(seedBaselines)
+	parentVsCurrent := against(parentBaselines)
 
 	doc := output{
 		Schema: "loopapalooza-bench/v3",
@@ -392,12 +410,14 @@ func run() error {
 			"number the bytecode VM. " +
 			"parallel_vs_serial compares Parallelism=NumCPU against Parallelism=1 " +
 			"(inline replay on the interpreting goroutine); its ratio depends on the " +
-			"measuring box's core count.",
+			"measuring box's core count. parent_vs_current compares against " +
+			"commit 9764894, the parent of the dense-index front end.",
 		NumCPU:           numCPU,
 		Benchmarks:       benches,
 		ParallelVsSerial: parallelVsSerial,
 		BytecodeLowering: lowering,
 		SeedVsCurrent:    seedVsCurrent,
+		ParentVsCurrent:  parentVsCurrent,
 	}
 	if *outPath != "" || *comparePath == "" {
 		buf, err := json.MarshalIndent(doc, "", "  ")

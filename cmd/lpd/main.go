@@ -44,7 +44,8 @@
 //	GET  /v1/cluster/workers  fleet state incl. breaker per worker
 //	POST /v1/cluster/*        claim/heartbeat/commit/release (workers)
 //	GET  /healthz             liveness (200 while the process is up)
-//	GET  /readyz              readiness (503 while draining or quarantined)
+//	GET  /readyz              readiness (503 while draining, quarantined,
+//	                          or after the coordinator's journal failed)
 //	GET  /metrics             Prometheus text format
 //
 // Budgets passed per request are clamped to the -max-steps/-timeout/

@@ -13,12 +13,14 @@ import (
 func DeadCodeElim(f *ir.Function) int {
 	// Mark-and-sweep: roots are side-effecting instructions; liveness
 	// propagates through operands. Cyclic groups of dead phis are never
-	// marked and are swept together.
-	live := map[*ir.Instr]bool{}
+	// marked and are swept together. The live set is indexed by
+	// Instr.Index; an operand f does not own is no instruction of f and
+	// stays unmarked.
+	live := make([]bool, f.Renumber())
 	var work []*ir.Instr
 	mark := func(v ir.Value) {
-		if i, ok := v.(*ir.Instr); ok && !live[i] {
-			live[i] = true
+		if i, ok := v.(*ir.Instr); ok && f.Owns(i) && !live[i.Index] {
+			live[i.Index] = true
 			work = append(work, i)
 		}
 	}
@@ -41,13 +43,16 @@ func DeadCodeElim(f *ir.Function) int {
 	for _, b := range f.Blocks {
 		kept := b.Instrs[:0]
 		for _, i := range b.Instrs {
-			if live[i] {
+			if live[i.Index] {
 				kept = append(kept, i)
 			} else {
 				removed++
 			}
 		}
-		b.Instrs = append([]*ir.Instr(nil), kept...)
+		// Clear the tail, so the removed instructions are not kept
+		// reachable from the block's backing array.
+		clear(b.Instrs[len(kept):])
+		b.Instrs = kept
 	}
 	return removed
 }
@@ -72,27 +77,29 @@ func RemoveUnreachable(f *ir.Function) int {
 		}
 	}
 	removed := 0
-	var kept []*ir.Block
-	dead := map[*ir.Block]bool{}
-	for _, b := range f.Blocks {
-		if reach[b.Index] {
-			kept = append(kept, b)
-		} else {
-			dead[b] = true
+	for _, r := range reach {
+		if !r {
 			removed++
 		}
 	}
 	if removed == 0 {
 		return 0
 	}
-	f.Blocks = kept
-	f.Renumber()
-	for _, b := range f.Blocks {
+	old := f.Blocks
+	// dead holds for the blocks being removed, under the old numbering; a
+	// block of another function is not one of them.
+	dead := func(b *ir.Block) bool { return f.HasBlock(b) && !reach[b.Index] }
+	kept := make([]*ir.Block, 0, len(old)-removed)
+	for _, b := range old {
+		if !reach[b.Index] {
+			continue
+		}
+		kept = append(kept, b)
 		for _, phi := range b.Phis() {
 			var args []ir.Value
 			var blocks []*ir.Block
 			for k, in := range phi.Blocks {
-				if !dead[in] {
+				if !dead(in) {
 					args = append(args, phi.Args[k])
 					blocks = append(blocks, in)
 				}
@@ -100,5 +107,7 @@ func RemoveUnreachable(f *ir.Function) int {
 			phi.Args, phi.Blocks = args, blocks
 		}
 	}
+	f.Blocks = kept
+	f.Renumber()
 	return removed
 }

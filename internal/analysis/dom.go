@@ -7,6 +7,8 @@
 package analysis
 
 import (
+	"slices"
+
 	"loopapalooza/internal/ir"
 )
 
@@ -32,33 +34,21 @@ func BuildDomTree(f *ir.Function) *DomTree {
 	f.Renumber()
 	n := len(f.Blocks)
 	t := &DomTree{
-		fn:       f,
-		idom:     make([]*ir.Block, n),
-		children: make([][]*ir.Block, n),
-		rpoNum:   make([]int, n),
-		preds:    f.Preds(),
+		fn:     f,
+		idom:   make([]*ir.Block, n),
+		rpoNum: make([]int, n),
+		rpo:    make([]*ir.Block, 0, n),
+		preds:  f.Preds(),
 	}
 	for i := range t.rpoNum {
 		t.rpoNum[i] = -1
 	}
 
-	// Depth-first post-order from the entry.
-	visited := make([]bool, n)
-	var post []*ir.Block
-	var dfs func(b *ir.Block)
-	dfs = func(b *ir.Block) {
-		visited[b.Index] = true
-		for _, s := range b.Succs() {
-			if !visited[s.Index] {
-				dfs(s)
-			}
-		}
-		post = append(post, b)
-	}
-	dfs(f.Entry())
-	for i := len(post) - 1; i >= 0; i-- {
-		t.rpoNum[post[i].Index] = len(t.rpo)
-		t.rpo = append(t.rpo, post[i])
+	// Depth-first post-order from the entry, reversed in place.
+	t.postorder(f.Entry())
+	slices.Reverse(t.rpo)
+	for k, b := range t.rpo {
+		t.rpoNum[b.Index] = k
 	}
 
 	// Cooper-Harvey-Kennedy iteration.
@@ -85,12 +75,40 @@ func BuildDomTree(f *ir.Function) *DomTree {
 		}
 	}
 	t.idom[entry.Index] = nil
+
+	// Children in rpo order, the lists carved out of one array.
+	count := make([]int, n)
+	for _, b := range t.rpo {
+		if d := t.idom[b.Index]; d != nil {
+			count[d.Index]++
+		}
+	}
+	all := make([]*ir.Block, len(t.rpo)-1)
+	t.children = make([][]*ir.Block, n)
+	off := 0
+	for i, c := range count {
+		t.children[i] = all[off : off : off+c]
+		off += c
+	}
 	for _, b := range t.rpo {
 		if d := t.idom[b.Index]; d != nil {
 			t.children[d.Index] = append(t.children[d.Index], b)
 		}
 	}
 	return t
+}
+
+// postorder appends b and the blocks reachable from it that are not yet
+// visited to t.rpo in post-order. A visited block's rpoNum is 0 until
+// BuildDomTree numbers the order.
+func (t *DomTree) postorder(b *ir.Block) {
+	t.rpoNum[b.Index] = 0
+	for _, s := range b.Succs() {
+		if t.rpoNum[s.Index] < 0 {
+			t.postorder(s)
+		}
+	}
+	t.rpo = append(t.rpo, b)
 }
 
 func (t *DomTree) intersect(a, b *ir.Block) *ir.Block {
@@ -135,7 +153,10 @@ func (t *DomTree) Dominates(a, b *ir.Block) bool {
 func (t *DomTree) Frontiers() [][]*ir.Block {
 	n := len(t.fn.Blocks)
 	df := make([][]*ir.Block, n)
-	seen := make([]map[*ir.Block]bool, n)
+	// last[r] is 1 + the Index of the join block most recently added to
+	// df[r]: the joins are visited one at a time, so it stands in for a
+	// per-runner set.
+	last := make([]int, n)
 	for _, b := range t.rpo {
 		if len(t.preds[b.Index]) < 2 {
 			continue
@@ -146,11 +167,8 @@ func (t *DomTree) Frontiers() [][]*ir.Block {
 			}
 			runner := p
 			for runner != nil && runner != t.idom[b.Index] {
-				if seen[runner.Index] == nil {
-					seen[runner.Index] = map[*ir.Block]bool{}
-				}
-				if !seen[runner.Index][b] {
-					seen[runner.Index][b] = true
+				if last[runner.Index] != b.Index+1 {
+					last[runner.Index] = b.Index + 1
 					df[runner.Index] = append(df[runner.Index], b)
 				}
 				runner = t.idom[runner.Index]

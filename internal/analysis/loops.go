@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"loopapalooza/internal/ir"
@@ -233,9 +234,8 @@ func LoopSimplify(f *ir.Function) (*DomTree, *LoopForest) {
 // entry, a fresh entry that jumps to it is prepended, so the old entry can
 // be a canonical loop header with a preheader.
 func splitEntryIfNeeded(f *ir.Function) {
-	f.Renumber()
 	old := f.Entry()
-	if len(f.Preds()[old.Index]) == 0 {
+	if !hasPred(f, old) {
 		return
 	}
 	ne := &ir.Block{Name: f.NextName("entry"), Parent: f}
@@ -258,6 +258,16 @@ func splitEntryIfNeeded(f *ir.Function) {
 	}
 	f.Blocks = append([]*ir.Block{ne}, f.Blocks...)
 	f.Renumber()
+}
+
+// hasPred reports whether any block of f branches to b.
+func hasPred(f *ir.Function, b *ir.Block) bool {
+	for _, p := range f.Blocks {
+		if slices.Contains(p.Succs(), b) {
+			return true
+		}
+	}
+	return false
 }
 
 // mergeEdges splits the edges preds->target through a fresh block that jumps

@@ -107,7 +107,8 @@ func Mem2Reg(f *ir.Function) int {
 				kept = append(kept, i)
 			}
 		}
-		b.Instrs = append([]*ir.Instr(nil), kept...)
+		clear(b.Instrs[len(kept):])
+		b.Instrs = kept
 
 		// Fill phi incomings of successors.
 		for _, s := range b.Succs() {

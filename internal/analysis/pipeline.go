@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"loopapalooza/internal/ir"
@@ -201,12 +202,8 @@ func buildLoopMeta(l *Loop, pur *Purity) *LoopMeta {
 	lm.SCEV = ComputeSCEV(l)
 	lm.Computable = lm.SCEV.ComputablePhis()
 	lm.Reductions = FindReductions(l, lm.SCEV)
-	isRed := map[*ir.Instr]bool{}
-	for _, r := range lm.Reductions {
-		isRed[r.Phi] = true
-	}
 	for _, p := range lm.SCEV.NonComputablePhis() {
-		if !isRed[p] {
+		if !slices.ContainsFunc(lm.Reductions, func(r *Reduction) bool { return r.Phi == p }) {
 			lm.NonComputable = append(lm.NonComputable, p)
 		}
 	}
@@ -221,7 +218,10 @@ func buildLoopMeta(l *Loop, pur *Purity) *LoopMeta {
 		}
 	}
 
-	for _, b := range blocksInOrder(l) {
+	for _, b := range l.Header.Parent.Blocks {
+		if !l.Blocks[b] {
+			continue
+		}
 		for _, i := range b.Instrs {
 			if i.Op != ir.OpCall {
 				continue

@@ -85,48 +85,50 @@ func FindReductions(l *Loop, se *ScalarEvolution) []*Reduction {
 	if l.Latch == nil || l.Preheader == nil {
 		return nil
 	}
-	// Count in-loop uses of every value.
-	uses := map[ir.Value]int{}
-	userOf := map[ir.Value]*ir.Instr{}
-	for b := range l.Blocks {
-		for _, i := range b.Instrs {
-			if i.Op == ir.OpPhi && b == l.Header {
-				// The latch incoming of a header phi closes the
-				// cycle; do not count it as a "use" that blocks
-				// decoupling.
-				continue
-			}
-			for _, a := range i.Args {
-				uses[a]++
-				userOf[a] = i
-			}
-		}
-	}
-
 	var out []*Reduction
 	for _, phi := range se.NonComputablePhis() {
 		if phi.Parent != l.Header {
 			continue
 		}
-		r := matchReduction(l, phi, uses, userOf)
-		if r != nil {
+		if r := matchReduction(l, phi); r != nil {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-func matchReduction(l *Loop, phi *ir.Instr, uses map[ir.Value]int, userOf map[ir.Value]*ir.Instr) *Reduction {
+// loopUses counts the in-loop uses of v and returns its last user. The
+// header phis' operands are not counted: the latch incoming of a header
+// phi closes the cycle and does not block decoupling. A chain is short and
+// a loop small, so a scan per link costs less than a use table per loop.
+func loopUses(l *Loop, v ir.Value) (n int, user *ir.Instr) {
+	for b := range l.Blocks {
+		for _, i := range b.Instrs {
+			if i.Op == ir.OpPhi && b == l.Header {
+				continue
+			}
+			for _, a := range i.Args {
+				if a == v {
+					n++
+					user = i
+				}
+			}
+		}
+	}
+	return n, user
+}
+
+func matchReduction(l *Loop, phi *ir.Instr) *Reduction {
 	latchVal := phi.PhiIncoming(l.Latch)
 	cur := ir.Value(phi)
 	kind := RedNone
 	var chain []*ir.Instr
 	for cur != latchVal {
-		if uses[cur] != 1 {
+		uses, next := loopUses(l, cur)
+		if uses != 1 {
 			return nil // value escapes into other in-loop computation
 		}
-		next := userOf[cur]
-		if next == nil || !l.Contains(next.Parent) {
+		if !l.Contains(next.Parent) {
 			return nil
 		}
 		k := reductionOp(next)
@@ -162,7 +164,7 @@ func matchReduction(l *Loop, phi *ir.Instr, uses map[ir.Value]int, userOf map[ir
 	// The final link feeds only the phi's back edge (which is not counted
 	// as a use); any other in-loop consumer means the running value
 	// escapes and the reduction cannot be decoupled.
-	if uses[latchVal] != 0 {
+	if uses, _ := loopUses(l, latchVal); uses != 0 {
 		return nil
 	}
 	return &Reduction{Phi: phi, Kind: kind, Chain: chain}

@@ -4,8 +4,61 @@ import (
 	"sort"
 	"testing"
 
+	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/bytecode"
+	"loopapalooza/internal/lang"
 )
+
+// frontEndSink keeps BenchmarkFrontEnd's last result reachable, so the
+// compiler cannot drop the measured calls.
+var frontEndSink *bytecode.Program
+
+// frontEndAllocCeiling bounds the allocations of compiling and analyzing
+// 181.mcf: the count the dense-index front end makes (1,258; 2,196 before
+// it) plus 10%. A pass that goes back to throwaway maps keyed by pointer
+// crosses it.
+const frontEndAllocCeiling = 1384
+
+func TestFrontEndAllocCeiling(t *testing.T) {
+	bm := ByName("181.mcf")
+	allocs := testing.AllocsPerRun(10, func() {
+		m, err := lang.Compile(bm.Name, bm.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := analysis.AnalyzeModule(m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > frontEndAllocCeiling {
+		t.Fatalf("lang.Compile + analysis.AnalyzeModule of %s: %.0f allocations, ceiling %d", bm.Name, allocs, frontEndAllocCeiling)
+	}
+}
+
+// BenchmarkFrontEnd measures the compile-time pipeline without its memo:
+// each op runs lang.Compile, analysis.AnalyzeModule and bytecode.Compile
+// on the source of every registered kernel. BenchmarkBytecodeLowering
+// reuses each kernel's memoized analysis, so it times lowering alone.
+func BenchmarkFrontEnd(b *testing.B) {
+	benches := All()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, bm := range benches {
+			m, err := lang.Compile(bm.Name, bm.Source)
+			if err != nil {
+				b.Fatal(err)
+			}
+			info, err := analysis.AnalyzeModule(m)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if frontEndSink, err = bytecode.Compile(info); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
 
 // BenchmarkBytecodeLowering measures compiling the whole registered suite
 // to bytecode and reports the suite-wide static opcode mix as custom

@@ -34,9 +34,11 @@ func Compile(info *analysis.ModuleInfo) (*Program, error) {
 		p.funcIdx[f] = int32(i)
 	}
 	for _, f := range p.mod.Funcs {
-		// The analysis pipeline numbers every function; cover hand-built
-		// modules that skip it (same as interp.New).
+		// The analysis pipeline numbers every function's blocks and
+		// values; cover hand-built modules that skip it (same as
+		// interp.New).
 		if !f.Numbered() {
+			f.Renumber()
 			f.NumberValues()
 		}
 		fc, err := lowerFunc(p, f, gaddr)
@@ -61,8 +63,8 @@ type constKey struct {
 	bits uint64
 }
 
-// pendingTarget marks an instruction whose A operand is a block (by
-// position in blockStart) awaiting resolution to a pc.
+// pendingTarget marks an instruction whose A operand is a block awaiting
+// resolution to a pc.
 type pendingTarget struct {
 	pc  int32
 	blk *ir.Block
@@ -78,10 +80,15 @@ type lowerer struct {
 	code       []Inst
 	constSlots map[constKey]int32
 	constPool  []interp.Val
-	uses       map[*ir.Instr]int
-	blockStart map[*ir.Block]int32
+	// uses counts each instruction result's uses, by Instr.Slot.
+	uses []int32
+	// blockStart is each block's first pc, by Block.Index (-1 until
+	// laid out).
+	blockStart []int32
 	patches    []pendingTarget
-	iterDesc   map[*analysis.LoopMeta]int32
+	// iterDesc is each loop header's iteration descriptor in fc.iters,
+	// by the header's Block.Index (-1 until emitted).
+	iterDesc []int32
 }
 
 func lowerFunc(p *Program, fn *ir.Function, gaddr map[*ir.Global]int64) (*funcCode, error) {
@@ -92,9 +99,12 @@ func lowerFunc(p *Program, fn *ir.Function, gaddr map[*ir.Global]int64) (*funcCo
 		gaddr:      gaddr,
 		fc:         &funcCode{fn: fn},
 		constSlots: map[constKey]int32{},
-		uses:       map[*ir.Instr]int{},
-		blockStart: make(map[*ir.Block]int32, len(fn.Blocks)),
-		iterDesc:   map[*analysis.LoopMeta]int32{},
+		uses:       make([]int32, fn.NumRegs()),
+		blockStart: make([]int32, len(fn.Blocks)),
+		iterDesc:   make([]int32, len(fn.Blocks)),
+	}
+	for k := range lw.blockStart {
+		lw.blockStart[k], lw.iterDesc[k] = -1, -1
 	}
 	fc := lw.fc
 	fc.arity = len(fn.Params)
@@ -108,8 +118,8 @@ func lowerFunc(p *Program, fn *ir.Function, gaddr map[*ir.Global]int64) (*funcCo
 		}
 		for _, i := range b.Instrs {
 			for _, a := range i.Args {
-				if d, ok := a.(*ir.Instr); ok {
-					lw.uses[d]++
+				if d, ok := a.(*ir.Instr); ok && d.Slot >= 0 && d.Slot < len(lw.uses) {
+					lw.uses[d.Slot]++
 				}
 			}
 		}
@@ -138,11 +148,10 @@ func lowerFunc(p *Program, fn *ir.Function, gaddr map[*ir.Global]int64) (*funcCo
 		}
 	}
 	for _, pt := range lw.patches {
-		start, ok := lw.blockStart[pt.blk]
-		if !ok {
+		if !fn.HasBlock(pt.blk) || lw.blockStart[pt.blk.Index] < 0 {
 			return nil, fmt.Errorf("jump to unknown block .%s", pt.blk.Name)
 		}
-		lw.code[pt.pc].A = start
+		lw.code[pt.pc].A = lw.blockStart[pt.blk.Index]
 	}
 	fc.code = optimize(lw.code)
 	fc.consts = lw.constPool
@@ -201,6 +210,14 @@ func (lw *lowerer) metaOf(b *ir.Block) *analysis.LoopMeta {
 
 func (lw *lowerer) emit(in Inst) { lw.code = append(lw.code, in) }
 
+// useCount returns how many operands name i's result.
+func (lw *lowerer) useCount(i *ir.Instr) int {
+	if i.Slot < 0 {
+		return 0
+	}
+	return int(lw.uses[i.Slot])
+}
+
 // emitPending emits a control transfer whose A target is the start of blk,
 // resolved after all blocks are laid out.
 func (lw *lowerer) emitPending(op Op, blk *ir.Block) {
@@ -209,7 +226,7 @@ func (lw *lowerer) emitPending(op Op, blk *ir.Block) {
 }
 
 func (lw *lowerer) lowerBlock(b *ir.Block) error {
-	lw.blockStart[b] = int32(len(lw.code))
+	lw.blockStart[b.Index] = int32(len(lw.code))
 	ins := b.Instrs
 	for k := b.FirstNonPhi(); k < len(ins); k++ {
 		i := ins[k]
@@ -229,7 +246,7 @@ func (lw *lowerer) lowerBlock(b *ir.Block) error {
 		}
 		if k+1 < len(ins) {
 			next := ins[k+1]
-			if brOp, ok := fuseCmpBr(i, next, lw.uses[i]); ok {
+			if brOp, ok := fuseCmpBr(i, next, lw.useCount(i)); ok {
 				x, err := lw.reg(i.Args[0])
 				if err != nil {
 					return err
@@ -288,7 +305,7 @@ func fuseCmpBr(cmp, br *ir.Instr, cmpUses int) (Op, bool) {
 // tryFusePair lowers addptr+load, addptr+store, and load+add pairs into
 // superinstructions when the intermediate value is single-use and adjacent.
 func (lw *lowerer) tryFusePair(i, next *ir.Instr) (bool, error) {
-	if lw.uses[i] != 1 {
+	if lw.useCount(i) != 1 {
 		return false, nil
 	}
 	switch {
@@ -424,8 +441,8 @@ func (lw *lowerer) emitEdge(p, c *ir.Block) error {
 			if lm.Loop.Contains(p) {
 				// Back edge: the iteration observation reads the latch
 				// incomings, one descriptor per loop.
-				idx, ok := lw.iterDesc[lm]
-				if !ok {
+				idx := lw.iterDesc[c.Index]
+				if idx < 0 {
 					d := loopIter{lm: lm}
 					for _, inc := range lm.ObservedLatch {
 						if inc == nil {
@@ -444,7 +461,7 @@ func (lw *lowerer) emitEdge(p, c *ir.Block) error {
 					}
 					idx = int32(len(lw.fc.iters))
 					lw.fc.iters = append(lw.fc.iters, d)
-					lw.iterDesc[lm] = idx
+					lw.iterDesc[c.Index] = idx
 				}
 				lw.emit(Inst{Op: opLoopIter, A: idx})
 			} else {

@@ -243,10 +243,14 @@ type Coordinator struct {
 	m           *coordMetrics
 
 	// Durability (nil/false without a DataDir; see journal.go).
-	wal          *wal.Log
-	replaying    bool
-	walDirty     bool
-	walErr       error // first failed append since the last sync
+	wal       *wal.Log
+	replaying bool
+	walDirty  bool
+	walErr    error // first failed append since the last sync
+	// walFailed is the append or fsync error that made the coordinator
+	// abandon its journal. It is sticky: every later acknowledgement is
+	// refused with it until a restart recovers from the journal.
+	walFailed    error
 	recSinceSnap int
 
 	janitorStop chan struct{}
@@ -495,10 +499,10 @@ func (c *Coordinator) Submit(tenant string, benches []*bench.Benchmark, cfgs []c
 		c.journalLocked(walRec{K: "admit", Job: j.id, Tenant: tenant,
 			Include: includeReports, Created: now.UnixNano(),
 			Benches: names, Cfgs: cfgs})
-		if err := c.syncLocked(); err != nil {
-			c.jobSeq--
-			return "", fmt.Errorf("cluster: journaling admission: %w", err)
-		}
+	}
+	if err := c.syncLocked(); err != nil {
+		c.jobSeq--
+		return "", fmt.Errorf("cluster: journaling admission: %w", err)
 	}
 	for _, b := range benches {
 		for _, cfg := range cfgs {

@@ -218,8 +218,13 @@ func (c *Coordinator) flushLocked() error {
 }
 
 // syncLocked makes every journaled record durable, or fails when a record
-// since the last sync never reached the journal.
+// since the last sync never reached the journal. After one failure it
+// fails every later call with the same error: the coordinator fails
+// closed.
 func (c *Coordinator) syncLocked() error {
+	if c.walFailed != nil {
+		return c.walFailed
+	}
 	if c.wal == nil || (!c.walDirty && c.walErr == nil) {
 		return nil
 	}
@@ -234,13 +239,28 @@ func (c *Coordinator) syncLocked() error {
 		// After a failed append or fsync the journal's durable prefix is
 		// unknowable (a missing record, partial writes, dropped pages), and
 		// retrying the buffer could persist records for transitions the
-		// caller is about to refuse. Abandon the log and degrade to
-		// in-memory operation instead of risking a half-true replay.
+		// caller is about to refuse. Abandon the log rather than risk a
+		// half-true replay, and fail closed: serving on without a journal
+		// would acknowledge transitions a crash then loses.
 		c.wal.Crash()
 		c.wal = nil
+		c.walFailed = err
 		return err
 	}
 	return nil
+}
+
+// JournalErr returns the journal failure the coordinator refuses every
+// acknowledgement with, or nil while its journal works (always nil for an
+// in-memory coordinator). A server mounting the coordinator reports it as
+// a readiness check; a restart recovers from the journal and clears it.
+func (c *Coordinator) JournalErr() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.walFailed == nil {
+		return nil
+	}
+	return fmt.Errorf("cluster: journal failed, acknowledgements refused until restart: %w", c.walFailed)
 }
 
 // compactDueLocked compacts once the journal has outgrown the snapshot

@@ -312,6 +312,75 @@ func TestRecoverRefusesUnjournaledAdmission(t *testing.T) {
 	}
 }
 
+// TestRecoverFailsClosedAfterJournalError: after one failed append the
+// coordinator refuses every later acknowledgement (admission, lease and
+// commit) with the journal error until restart, instead of serving on
+// with no journal and acknowledging what a crash then loses. A restart
+// recovers what was acknowledged before the failure and journals again.
+func TestRecoverFailsClosedAfterJournalError(t *testing.T) {
+	b, cfgs := testBench(t)
+	dir := t.TempDir()
+	clk := newFakeClock()
+	ctx := context.Background()
+	c := openTestCoordinator(t, dir, clk, CoordinatorOptions{})
+	defer c.Close()
+	for k := 0; k < 2; k++ {
+		if _, err := c.Submit("acme", []*bench.Benchmark{b}, cfgs, false); err != nil {
+			t.Fatalf("submit %d: %v", k, err)
+		}
+	}
+	task, err := c.Claim(ctx, ClaimRequest{Worker: "w1"})
+	if err != nil {
+		t.Fatalf("claim: %v", err)
+	}
+	if err := c.JournalErr(); err != nil {
+		t.Fatalf("JournalErr with a working journal: %v", err)
+	}
+
+	c.mu.Lock()
+	c.wal.Crash() // every later append fails
+	c.mu.Unlock()
+	for k := 0; k < 2; k++ {
+		if id, err := c.Submit("acme", []*bench.Benchmark{b}, cfgs, false); err == nil {
+			t.Fatalf("submit %d after the journal failed acknowledged %s", k, id)
+		}
+	}
+	if task2, err := c.Claim(ctx, ClaimRequest{Worker: "w2"}); err == nil {
+		t.Fatalf("Claim after the journal failed granted %s", task2.ID)
+	}
+	results := make([]CellResult, len(task.Cells))
+	for i, tc := range task.Cells {
+		results[i] = CellResult{Config: tc.Config, Outcome: core.OutcomeCanceled}
+	}
+	if err := c.Commit(ctx, CommitRequest{Task: task.ID, Worker: "w1", Results: results}); err == nil {
+		t.Fatal("Commit after the journal failed was acknowledged")
+	}
+	if err := c.JournalErr(); err == nil {
+		t.Fatal("JournalErr is nil after the journal failed")
+	}
+	c.Crash()
+
+	c2 := openTestCoordinator(t, dir, clk, CoordinatorOptions{})
+	defer c2.Close()
+	if err := c2.JournalErr(); err != nil {
+		t.Fatalf("JournalErr after restart: %v", err)
+	}
+	for _, id := range []string{"job-000001", "job-000002"} {
+		if _, err := c2.Status(id); err != nil {
+			t.Errorf("%s was acknowledged before the failure and is lost: %v", id, err)
+		}
+	}
+	if _, err := c2.Status("job-000003"); err == nil {
+		t.Error("a refused admission survived the restart")
+	}
+	if _, err := c2.Submit("acme", []*bench.Benchmark{b}, cfgs, false); err != nil {
+		t.Fatalf("submit after restart: %v", err)
+	}
+	if err := c2.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRecoverRetryingExposedInStatus(t *testing.T) {
 	dir := t.TempDir()
 	clk := newFakeClock()

@@ -2,6 +2,7 @@ package ir
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -17,6 +18,10 @@ type Block struct {
 	// Index is the position of the block in Parent.Blocks. It is kept
 	// up to date by Function.Renumber and used as a dense key by analyses.
 	Index int
+
+	// first is the Instr.Index of the block's first instruction, set by
+	// Renumber, so Function.Owns finds an instruction without a search.
+	first int
 }
 
 // Terminator returns the block's terminator, or nil if the block is
@@ -158,33 +163,94 @@ func (f *Function) uniqueBlockName(hint string) string {
 		if !found {
 			return name
 		}
-		name = fmt.Sprintf("%s%d", hint, n)
+		name = hint + strconv.Itoa(n)
 	}
 }
 
-// NextName returns a fresh SSA value name with the given hint.
+// NextName returns a fresh SSA value name with the given hint: the hint, a
+// dot, and the function's next sequence number. The sequence number holds
+// no dot and differs on every call, so the names of one function are
+// distinct whatever the hints are ("a12" and "a1" give "a12.1" and "a1.2").
 func (f *Function) NextName(hint string) string {
 	if hint == "" {
 		hint = "t"
 	}
 	f.nameSeq++
-	return fmt.Sprintf("%s%d", hint, f.nameSeq)
+	return hint + "." + strconv.Itoa(f.nameSeq)
 }
 
-// Renumber refreshes Block.Index after blocks have been added or removed.
-func (f *Function) Renumber() {
+// Renumber refreshes Block.Index and Instr.Index after blocks or
+// instructions have been added or removed. It returns the number of
+// instructions, the length of a slice indexed by Instr.Index.
+func (f *Function) Renumber() int {
+	n := 0
 	for i, b := range f.Blocks {
 		b.Index = i
+		b.first = n
+		for _, ins := range b.Instrs {
+			ins.Index = int32(n)
+			n++
+		}
 	}
+	return n
 }
 
-// Preds returns, for every block, its predecessor blocks. The result is
-// indexed by Block.Index; call Renumber first if the block list changed.
+// HasBlock reports whether b is a block of f at the position its Index
+// names, which holds for every block of f after Renumber.
+func (f *Function) HasBlock(b *Block) bool {
+	return b != nil && b.Index >= 0 && b.Index < len(f.Blocks) && f.Blocks[b.Index] == b
+}
+
+// Owns reports whether i is an instruction of f at the position its Index
+// names: its parent is a block of f that lists i there. After Renumber it
+// holds for every instruction of f whose Parent is right, so a pass can key
+// per-call slices by Instr.Index and ignore anything Owns rejects.
+func (f *Function) Owns(i *Instr) bool {
+	if i == nil || !f.HasBlock(i.Parent) {
+		return false
+	}
+	k := int(i.Index) - i.Parent.first
+	return k >= 0 && k < len(i.Parent.Instrs) && i.Parent.Instrs[k] == i
+}
+
+// Preds returns, for every block, its predecessor blocks, in block order
+// and once per edge. The result is indexed by Block.Index; call Renumber
+// first if the block list changed. A branch to a block of another
+// function is no edge of f and is left out. The lists share one backing
+// array.
 func (f *Function) Preds() [][]*Block {
-	preds := make([][]*Block, len(f.Blocks))
+	edges := 0
 	for _, b := range f.Blocks {
 		for _, s := range b.Succs() {
-			preds[s.Index] = append(preds[s.Index], b)
+			if f.HasBlock(s) {
+				edges++
+			}
+		}
+	}
+	all := make([]*Block, edges)
+	preds := make([][]*Block, len(f.Blocks))
+	// Count each block's in-edges in the length of its list, then carve
+	// the lists out of all and fill them in block order.
+	for i := range preds {
+		preds[i] = all[:0]
+	}
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			if f.HasBlock(s) {
+				preds[s.Index] = preds[s.Index][:len(preds[s.Index])+1]
+			}
+		}
+	}
+	off := 0
+	for i, p := range preds {
+		preds[i] = all[off : off : off+len(p)]
+		off += len(p)
+	}
+	for _, b := range f.Blocks {
+		for _, s := range b.Succs() {
+			if f.HasBlock(s) {
+				preds[s.Index] = append(preds[s.Index], b)
+			}
 		}
 	}
 	return preds

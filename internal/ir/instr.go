@@ -129,6 +129,13 @@ type Instr struct {
 	Op Op
 	// Ty is the result type (Void for instructions without results).
 	Ty Type
+	// Index is the instruction's position in its function, counting
+	// through the blocks in order: a dense key analyses index per-call
+	// slices by. Function.Renumber keeps it up to date, as it does
+	// Block.Index; inserting or removing instructions makes it stale until
+	// the next Renumber. An int32 fits in the padding after Ty, so the
+	// field costs an instruction no memory.
+	Index int32
 	// Nm is the SSA name of the result, unique within its function.
 	Nm string
 	// Args are the value operands.

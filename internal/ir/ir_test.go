@@ -195,3 +195,56 @@ func TestGlobalsAndLookup(t *testing.T) {
 		t.Fatal("Func lookup failed")
 	}
 }
+
+// TestVerifyReportsBranchIntoAnotherFunction: a branch to a block of
+// another function is reported, not followed. The target's Index (3) is
+// past f's single block, so a predecessor list indexed by it would run off
+// the end.
+func TestVerifyReportsBranchIntoAnotherFunction(t *testing.T) {
+	m := NewModule("cross")
+	g := m.AddFunction("g", Void)
+	bg := NewBuilder(g)
+	for k := 0; k < 3; k++ {
+		next := g.NewBlock("b")
+		bg.Jmp(next)
+		bg.SetBlock(next)
+	}
+	bg.Ret(nil)
+	f := m.AddFunction("f", Void)
+	NewBuilder(f).Jmp(g.Blocks[3])
+	if err := Verify(m); err == nil || !strings.Contains(err.Error(), "@f.entry: jmp targets block outside function") {
+		t.Fatalf("want the foreign target reported, got %v", err)
+	}
+}
+
+// TestVerifyReportsDuplicateNames: a repeated value name is reported once
+// per repeat, at the later definition, as the check always has.
+func TestVerifyReportsDuplicateNames(t *testing.T) {
+	m, f := buildCountdown(t)
+	body := f.Blocks[2]
+	body.Instrs[0].Nm = f.Blocks[1].Phis()[0].Nm
+	err := Verify(m)
+	if err == nil || strings.Count(err.Error(), "duplicate value name %"+body.Instrs[0].Nm) != 1 {
+		t.Fatalf("want one duplicate-name error, got %v", err)
+	}
+}
+
+// TestNextNameInjective: a hint that ends in digits cannot make a name
+// another hint and sequence number also make. Joined without a separator,
+// the 21st name (hint "a1", number 21) would repeat the first (hint
+// "a12", number 1).
+func TestNextNameInjective(t *testing.T) {
+	f := NewModule("names").AddFunction("f", Void)
+	seen := map[string]bool{}
+	for k := 0; k < 40; k++ {
+		hint := "a12"
+		if k >= 20 {
+			hint = "a1"
+		}
+		n := f.NextName(hint)
+		if seen[n] {
+			t.Fatalf("NextName(%q) repeated %q", hint, n)
+		}
+		seen[n] = true
+	}
+}

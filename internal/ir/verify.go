@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Verify checks structural well-formedness of a module:
@@ -54,29 +55,24 @@ func verifyFunc(f *Function, add func(string, ...any)) {
 		add("@%s: function has no blocks", f.Name)
 		return
 	}
-	f.Renumber()
-
-	inFunc := map[*Block]bool{}
-	for _, b := range f.Blocks {
-		inFunc[b] = true
-	}
-	defined := map[Value]bool{}
-	for _, p := range f.Params {
-		defined[p] = true
-	}
-	names := map[string]bool{}
+	named := 0
 	for _, b := range f.Blocks {
 		for _, i := range b.Instrs {
 			if i.Op.HasResult() && i.Ty.Kind() != KVoid {
-				if names[i.Nm] {
-					add("@%s: duplicate value name %%%s", f.Name, i.Nm)
-				}
-				names[i.Nm] = true
-				defined[i] = true
+				named++
+			}
+		}
+	}
+	names := newNameSet(named)
+	for _, b := range f.Blocks {
+		for _, i := range b.Instrs {
+			if i.Op.HasResult() && i.Ty.Kind() != KVoid && !names.add(i) {
+				add("@%s: duplicate value name %%%s", f.Name, i.Nm)
 			}
 		}
 	}
 
+	f.Renumber()
 	preds := f.Preds()
 	for _, b := range f.Blocks {
 		t := b.Terminator()
@@ -95,21 +91,25 @@ func verifyFunc(f *Function, add func(string, ...any)) {
 				add("@%s.%s: instruction %s has wrong parent", f.Name, b.Name, i.Op)
 			}
 			for _, tgt := range i.Blocks {
-				if !inFunc[tgt] {
+				if !f.HasBlock(tgt) {
 					add("@%s.%s: %s targets block outside function", f.Name, b.Name, i.Op)
 				}
 			}
 			for _, a := range i.Args {
-				switch a.(type) {
+				defined := true
+				switch x := a.(type) {
 				case *IntConst, *FloatConst, *BoolConst, *NullConst, *Global:
-				case *Param, *Instr:
-					if !defined[a] {
-						add("@%s.%s: operand %s of %s not defined in function", f.Name, b.Name, a.Name(), i.Op)
-					}
+				case *Param:
+					defined = slices.Contains(f.Params, x)
+				case *Instr:
+					defined = f.defines(x)
 				case nil:
 					add("@%s.%s: nil operand of %s", f.Name, b.Name, i.Op)
 				default:
 					add("@%s.%s: unknown operand kind %T", f.Name, b.Name, a)
+				}
+				if !defined {
+					add("@%s.%s: operand %s of %s not defined in function", f.Name, b.Name, a.Name(), i.Op)
 				}
 			}
 			verifyTypes(f, b, i, add)
@@ -126,19 +126,64 @@ func verifyFunc(f *Function, add func(string, ...any)) {
 				}
 			}
 			for _, in := range phi.Blocks {
-				found := false
-				for _, p := range preds[b.Index] {
-					if p == in {
-						found = true
-						break
-					}
-				}
-				if !found {
+				if !slices.Contains(preds[b.Index], in) {
 					add("@%s.%s: phi %%%s has incoming from non-pred .%s", f.Name, b.Name, phi.Nm, in.Name)
 				}
 			}
 		}
 	}
+}
+
+// defines reports whether i is a result-producing instruction listed in
+// f's blocks. It wants a current Renumber.
+func (f *Function) defines(i *Instr) bool {
+	if i == nil || !i.Op.HasResult() || i.Ty.Kind() == KVoid {
+		return false
+	}
+	if f.Owns(i) {
+		return true
+	}
+	// Owns misses an instruction of f only when its Parent is wrong or
+	// it is listed twice, and the verifier reports either on its own.
+	// Search, so that its operands are not reported as well.
+	for _, b := range f.Blocks {
+		if slices.Contains(b.Instrs, i) {
+			return true
+		}
+	}
+	return false
+}
+
+// nameSet is an open-addressing hash set of instructions keyed by value
+// name: the verifier's duplicate-name check allocates one slice per
+// function where a map of strings would grow bucket by bucket.
+type nameSet []*Instr
+
+// newNameSet returns a set for n names, at most two thirds full.
+func newNameSet(n int) nameSet {
+	size := 8
+	for size < n+n/2 {
+		size *= 2
+	}
+	return make(nameSet, size)
+}
+
+// add inserts i and reports whether no instruction of the same name was
+// in the set.
+func (s nameSet) add(i *Instr) bool {
+	h := uint32(2166136261) // FNV-1a
+	for k := 0; k < len(i.Nm); k++ {
+		h ^= uint32(i.Nm[k])
+		h *= 16777619
+	}
+	mask := uint32(len(s) - 1)
+	for h &= mask; s[h] != nil; h = (h + 1) & mask {
+		if s[h].Nm == i.Nm {
+			return false
+		}
+	}
+	s[h] = i
+	return true
 }
 
 func verifyTypes(f *Function, b *Block, i *Instr, add func(string, ...any)) {

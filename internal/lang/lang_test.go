@@ -281,3 +281,17 @@ func TestCompileUserErrorsAreNotICE(t *testing.T) {
 		t.Fatalf("error is %T, want diag.List", err)
 	}
 }
+
+// TestCompileDistinctValueNames: value names are a hint plus a sequence
+// number, and a hint may end in digits. Here the 21st name is hint "a1"
+// after 20 names of hint "a12"; joined without a separator both read
+// a121, which the verifier rejected as a duplicate of a valid program.
+func TestCompileDistinctValueNames(t *testing.T) {
+	src := "func main() int {\n\tvar a12 int = 1;\n" +
+		strings.Repeat("\ta12 = a12;\n", 19) +
+		"\tvar a1 int = 2;\n\treturn a1 + a12;\n}\n"
+	m := compile(t, src)
+	if _, err := analysis.AnalyzeModule(m); err != nil {
+		t.Fatalf("AnalyzeModule: %v", err)
+	}
+}

@@ -95,14 +95,17 @@ func (p *parser) errorf(pos token.Pos, format string, args ...any) {
 	panic(bailout{})
 }
 
-// enter guards recursion depth; the returned func must be deferred.
-func (p *parser) enter() func() {
+// enter guards recursion depth; pair it with a deferred leave. A returned
+// closure would cost an allocation on every nested parse.
+func (p *parser) enter() {
 	p.depth++
 	if p.depth > maxNestingDepth {
 		p.errorf(p.tok.Pos, "program nesting too deep (more than %d levels)", maxNestingDepth)
 	}
-	return func() { p.depth-- }
 }
+
+// leave undoes enter.
+func (p *parser) leave() { p.depth-- }
 
 func (p *parser) expect(k token.Kind) token.Token {
 	if p.tok.Kind != k {
@@ -375,7 +378,8 @@ func (p *parser) parseFuncDecl() *ast.FuncDecl {
 }
 
 func (p *parser) parseBlock() *ast.Block {
-	defer p.enter()()
+	p.enter()
+	defer p.leave()
 	pos := p.expect(token.LBRACE).Pos
 	b := &ast.Block{P: pos}
 	for p.tok.Kind != token.RBRACE {
@@ -400,7 +404,8 @@ func (p *parser) parseBlock() *ast.Block {
 }
 
 func (p *parser) parseStmt() ast.Stmt {
-	defer p.enter()()
+	p.enter()
+	defer p.leave()
 	switch p.tok.Kind {
 	case token.KwVar:
 		return p.parseVarDecl()
@@ -541,7 +546,8 @@ func (p *parser) parseBinary(minPrec int) ast.Expr {
 }
 
 func (p *parser) parseUnary() ast.Expr {
-	defer p.enter()()
+	p.enter()
+	defer p.leave()
 	switch p.tok.Kind {
 	case token.SUB, token.NOT, token.MUL, token.AND:
 		op := p.tok.Kind
@@ -595,7 +601,8 @@ func (p *parser) parsePostfix() ast.Expr {
 }
 
 func (p *parser) parsePrimary() ast.Expr {
-	defer p.enter()()
+	p.enter()
+	defer p.leave()
 	tok := p.tok
 	switch tok.Kind {
 	case token.INT:

@@ -242,6 +242,39 @@ func TestReadyzSplitFromHealthz(t *testing.T) {
 	}
 }
 
+// TestReadyzReportsFailedJournal: a durable coordinator whose journal
+// failed refuses every acknowledgement until restart, so the server
+// reports NOT-READY with the journal error while liveness stays up.
+func TestReadyzReportsFailedJournal(t *testing.T) {
+	coord, err := cluster.OpenCoordinator(cluster.CoordinatorOptions{DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	_, ts := newTestServer(t, Options{Cluster: coord})
+	var ready ReadyzResponse
+	if code := getJSON(t, ts.URL+"/readyz", &ready); code != http.StatusOK {
+		t.Fatalf("readyz with a working journal: %d %+v", code, ready)
+	}
+
+	coord.Crash() // the journal stops taking appends
+	job := JobRequest{Benchmarks: []string{bench.BySuite(bench.SuiteEEMBC)[0].Name}}
+	for k := 0; k < 2; k++ {
+		if status, body := postJSON(t, ts.URL+"/v1/jobs", job); status == http.StatusAccepted {
+			t.Fatalf("submit %d after the journal failed was accepted: %s", k, body)
+		}
+	}
+	if code := getJSON(t, ts.URL+"/readyz", &ready); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after the journal failed: %d, want 503", code)
+	}
+	if len(ready.Reasons) != 1 || !strings.Contains(ready.Reasons[0], "journal failed") {
+		t.Fatalf("reasons %v", ready.Reasons)
+	}
+	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
+		t.Fatalf("healthz after the journal failed: %d, want 200", code)
+	}
+}
+
 func TestClusterSurfaceAbsentWithoutCoordinator(t *testing.T) {
 	_, ts := newTestServer(t, Options{})
 	if status, _ := postJSON(t, ts.URL+"/v1/jobs", JobRequest{}); status != http.StatusNotFound {

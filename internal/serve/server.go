@@ -89,6 +89,8 @@ type Options struct {
 	// Cluster mounts the async job API (POST /v1/jobs, GET
 	// /v1/jobs/{id}) and the worker-facing lease endpoints (POST
 	// /v1/cluster/*) on this coordinator. Nil serves no cluster surface.
+	// A coordinator whose journal failed (Coordinator.JournalErr) marks
+	// the server NOT-READY until restart.
 	Cluster *cluster.Coordinator
 	// ReadyChecks gate GET /readyz: any check returning an error marks
 	// the process NOT-READY with that reason (e.g. a worker role reports
@@ -193,6 +195,11 @@ func New(opts Options) (*Server, error) {
 		cancel:  cancel,
 	}
 	s.readyChecks = append(s.readyChecks, opts.ReadyChecks...)
+	if opts.Cluster != nil {
+		// A coordinator whose journal failed refuses every
+		// acknowledgement until restart: route no traffic to it.
+		s.readyChecks = append(s.readyChecks, opts.Cluster.JournalErr)
+	}
 	s.registerMetrics()
 	s.routes()
 	if store != nil && opts.ScrubInterval >= 0 {

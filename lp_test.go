@@ -3,6 +3,7 @@ package loopapalooza_test
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -219,5 +220,37 @@ func TestPublicAPICluster(t *testing.T) {
 	got := coord.Report(id, b.Name, lp.BestHELIX())
 	if got == nil || got.SerialCost != direct.SerialCost || got.ParallelCost != direct.ParallelCost {
 		t.Fatalf("cluster report %+v differs from direct run %+v", got, direct)
+	}
+}
+
+// TestAnalyzeReleasesModule: once an analysis result and the reports run
+// on it are dropped, the IR is garbage. No scratch the front end, the
+// lowering or a run keeps (a pooled or package-level table that still
+// pointed into the last module) may hold it. The finalizer sits on one of
+// the module's globals: every part of the IR reaches it through
+// Module.Globals or an operand, while the Module itself lies on cycles
+// (Function.Module, Block.Parent), and a finalizer on an object in a cycle
+// never runs.
+func TestAnalyzeReleasesModule(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		info, err := lp.Analyze("retain", apiProg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lp.StudyAnalyzed(info, lp.BestHELIX()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := lp.StudyMany(info, lp.PaperConfigs(), lp.RunOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.SetFinalizer(info.Mod.Globals[0], func(any) { close(freed) })
+	}()
+	runtime.GC()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the analyzed module is still reachable after its result was dropped and two GCs ran")
 	}
 }
