@@ -146,7 +146,7 @@ vuln:
 # paper-grid fan-out sweep, trace replay of every kernel with its
 # trace-size census, the uncached front end of every kernel, plus the
 # bytecode compiler's opcode-mix census) and the root VM and
-# value-predictor benchmarks, rendered to BENCH_PR21.json with the
+# value-predictor benchmarks, rendered to BENCH_PR22.json with the
 # speedup-ratio tables and the measuring box's CPU count. Earlier
 # BENCH_PR*.json files are checked-in baselines; benchsmoke gates against
 # the newest.
@@ -154,7 +154,7 @@ bench:
 	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|BytecodeLowering|FrontEnd|TraceReplay' \
 		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench | tee bench.out
 	$(GO) test -run='^$$' -bench='^Benchmark(Interpreter|Predictors)$$' -benchmem -count=1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR21.json bench.out
+	$(GO) run ./cmd/benchjson -o BENCH_PR22.json bench.out
 	rm -f bench.out
 
 figures:

@@ -11,9 +11,9 @@
 //     interpreting goroutine (Parallelism=1).
 //   - seed_vs_current: current numbers against baselines measured at the
 //     pre-shadow-memory seed commit with identical access patterns.
-//   - parent_vs_current: BenchmarkFrontEnd against its numbers at the
-//     parent of the dense-index front end, so one file holds both sides
-//     of that change.
+//   - parent_vs_current: BenchmarkTraceReplay's trace-bytes census
+//     against its size at the parent of trace format v3, so one file
+//     holds both sides of that change.
 //
 // BENCH_PR5.json and BENCH_PR9.json preserve the retired
 // fanout_vs_perconfig and batched_vs_perevent tables, whose per-config
@@ -124,14 +124,13 @@ var seedBaselines = map[string]seedBaseline{
 	},
 }
 
-// parentBaselines: BenchmarkFrontEnd at commit 9764894, the parent of the
-// dense-index front end, measured with the benchmark added there; medians
-// of 5 runs of 20 iterations alternated with the change's on the same
-// 2-CPU box.
+// parentBaselines: BenchmarkTraceReplay's trace-bytes census at commit
+// 6eac63f, the parent of trace format v3: the 57 kernels' version-2
+// traces. The census is exact, so one run gives it.
 var parentBaselines = map[string]seedBaseline{
-	"BenchmarkFrontEnd": {
-		current: "BenchmarkFrontEnd",
-		metrics: map[string]float64{"ns/op": 36.21e6, "B/op": 11055861, "allocs/op": 138737},
+	"BenchmarkTraceReplay": {
+		current: "BenchmarkTraceReplay",
+		metrics: map[string]float64{"trace-bytes": 21448985},
 	},
 }
 
@@ -411,7 +410,7 @@ func run() error {
 			"parallel_vs_serial compares Parallelism=NumCPU against Parallelism=1 " +
 			"(inline replay on the interpreting goroutine); its ratio depends on the " +
 			"measuring box's core count. parent_vs_current compares against " +
-			"commit 9764894, the parent of the dense-index front end.",
+			"commit 6eac63f, the parent of trace format v3.",
 		NumCPU:           numCPU,
 		Benchmarks:       benches,
 		ParallelVsSerial: parallelVsSerial,

@@ -32,9 +32,12 @@ func Mem2Reg(f *ir.Function) int {
 				}
 			}
 		}
+		// Seeded in block order, so phis are named the same on every run.
 		work := make([]*ir.Block, 0, len(defBlocks))
-		for b := range defBlocks {
-			work = append(work, b)
+		for _, b := range f.Blocks {
+			if defBlocks[b] {
+				work = append(work, b)
+			}
 		}
 		hasPhi := map[*ir.Block]bool{}
 		for len(work) > 0 {

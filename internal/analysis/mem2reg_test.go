@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"loopapalooza/internal/ir"
+	"loopapalooza/internal/lang"
 )
 
 func countOps(f *ir.Function, op ir.Op) int {
@@ -155,5 +156,40 @@ func TestSimplifyPhisRemovesTrivial(t *testing.T) {
 	ret := j.Terminator()
 	if c, ok := ir.ConstIntValue(ret.Args[0]); !ok || c != 9 {
 		t.Fatalf("ret arg = %v, want 9", ret.Args[0])
+	}
+}
+
+// TestMem2RegPhiNamesDeterministic: a variable stored in several blocks
+// gets its phis placed from a work list of those blocks; seeding the list
+// in block order names the phis the same way on every compile. The loop
+// assigns two variables conditionally, so each has several defining
+// blocks and phis at both the join and the header.
+func TestMem2RegPhiNamesDeterministic(t *testing.T) {
+	const src = `
+func main() int {
+	var i int;
+	var s int = 0;
+	var t int = 1;
+	for (i = 0; i < 10; i = i + 1) {
+		if (i % 2 == 0) { s = s + i; } else { t = t * 2; }
+		if (i % 3 == 0) { t = t + s; } else { s = s - 1; }
+	}
+	return s + t;
+}`
+	var first string
+	for run := range 8 {
+		m, err := lang.Compile("phis.lpc", src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := AnalyzeModule(m); err != nil {
+			t.Fatal(err)
+		}
+		text := m.String()
+		if run == 0 {
+			first = text
+		} else if text != first {
+			t.Fatalf("compile %d printed different IR:\n%s\nfirst compile:\n%s", run, text, first)
+		}
 	}
 }

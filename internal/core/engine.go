@@ -652,7 +652,11 @@ func (e *Engine) Store(addr int64) {
 // the adjusted clock is the raw offset less the savings this class made
 // between the iteration's start and the write; savings cannot change
 // inside the span, so the load's offset is the span's start offset plus
-// the record's tick.
+// the record's tick. Savings never fall, so the adjusted offset is at
+// most the raw one: a fact whose raw slope is within delta_largest cannot
+// raise it, so it skips the savings lookup and still counts its iteration
+// as conflicting. That holds for the AmortizeHelixDelta ablation too,
+// whose slope divides by a positive iteration gap and is clamped at 0.
 func (e *Engine) applyFacts(evs []memEv, facts []fact) {
 	adj0 := e.adj()
 	for i := range facts {
@@ -663,8 +667,11 @@ func (e *Engine) applyFacts(evs []memEv, facts []fact) {
 		}
 		rec, c := writeRec{iter: f.rec.iter}, int64(0)
 		if e.log != nil {
-			rec.off = f.rec.raw - e.log.between(f.rec.start, f.rec.ord)
+			rec.off = f.rec.raw
 			c = adj0 - inst.iterStartAdj + evs[f.mem].tick
+			if rec.off-c > inst.deltaLargest {
+				rec.off -= e.log.between(f.rec.start, f.rec.ord)
+			}
 		}
 		e.loadHit(inst, rec, c)
 	}

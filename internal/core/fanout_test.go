@@ -105,13 +105,16 @@ func main() int {
 // the run tracker's raw write offsets through their own savings, against
 // per-configuration Run, where each engine stamps adjusted offsets itself.
 // Both outer instances start with no live instance, so the log also
-// starts over between them.
+// starts over between them. The grid gains the AmortizeHelixDelta
+// ablation, whose class takes the same savings lookups and early-outs.
 func TestMultiRunInnerSavings(t *testing.T) {
 	info, err := AnalyzeSource("savings", innerSavingsSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfgs := PaperConfigs()
+	amortized := BestHELIX()
+	amortized.AmortizeHelixDelta = true
+	cfgs := append(PaperConfigs(), amortized)
 	want := make([]*Report, len(cfgs))
 	for i, cfg := range cfgs {
 		if want[i], err = Run(info, cfg, RunOptions{}); err != nil {

@@ -108,7 +108,8 @@ func TestTraceTruncation(t *testing.T) {
 }
 
 // TestTraceCorruption covers the structured corruption checks: magic,
-// version, opcodes, loop ordinals, and the tick checksum.
+// version, opcodes, records the stream model cannot place, and the tick
+// checksum.
 func TestTraceCorruption(t *testing.T) {
 	info, trace, _ := record(t, "corrupt", doallSrc, []Config{{Model: DOALL}})
 	replay := func(b []byte) error {
@@ -123,7 +124,7 @@ func TestTraceCorruption(t *testing.T) {
 	if err := replay(mut(0, 'X')); err == nil || !strings.Contains(err.Error(), "bad magic") {
 		t.Errorf("bad magic: %v", err)
 	}
-	for _, v := range []byte{1, 0xFF} {
+	for _, v := range []byte{1, 2, 0xFF} {
 		if err := replay(mut(4, v)); !errors.Is(err, ErrTraceVersion) ||
 			!strings.Contains(err.Error(), "unsupported version") {
 			t.Errorf("version %d: %v", v, err)
@@ -132,9 +133,23 @@ func TestTraceCorruption(t *testing.T) {
 	// Locate the first record byte: magic(4) + version(1) + nameLen(1) +
 	// name + loopCount(1) for this small module.
 	body := 4 + 1 + 1 + len("corrupt") + 1
-	for _, op := range []byte{0x00, 0x5F, 0x7F} { // opcodes 0, 5 and 7 are unassigned
+	for _, op := range []byte{0x00, 0x6F, 0x7F} { // opcodes 0, 6 and 7 are unassigned
 		if err := replay(mut(body, op)); err == nil || !strings.Contains(err.Error(), "unknown opcode") {
 			t.Errorf("unknown opcode %#x: %v", op, err)
+		}
+	}
+	// The first record comes before any loop: a next record there has no
+	// live loop to iterate, and a predicted load or store no slot.
+	for _, c := range []struct {
+		hdr  byte
+		want string
+	}{
+		{opNext << 4, "no modelled live loop"},
+		{recMem | recPredicted, "no address slot"},
+		{recMem | recStore | recPredicted, "no address slot"},
+	} {
+		if err := replay(mut(body, c.hdr)); !errors.Is(err, errTrace) || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("record %#x outside loops: %v, want a trace error containing %q", c.hdr, err, c.want)
 		}
 	}
 	// Changing the pending-tick field of the first record, to another
@@ -215,8 +230,9 @@ func TestReplayBudgetsIgnored(t *testing.T) {
 	}
 }
 
-// v2Src has one loop observing two reduction phis, one of them a float.
-const v2Src = `
+// layoutSrc has one loop observing two reduction phis, one of them a
+// float.
+const layoutSrc = `
 var a [8]int;
 var g [8]float;
 func main() int {
@@ -247,63 +263,119 @@ func (l *hookLog) ExitLoop(lm *analysis.LoopMeta) { l.add("exit %d", lm.Seq) }
 func (l *hookLog) Load(addr int64)                { l.add("load %d", addr) }
 func (l *hookLog) Store(addr int64)               { l.add("store %d", addr) }
 
-// TestTraceFormatV2Layout pins the v2 encoding byte for byte: pending
+// TestTraceFormatV3Layout pins the v3 encoding byte for byte: pending
 // ticks below, at and past both header escapes (ticks batched into the
-// next record), a negative stack-pointer delta, both defTick forms, a
-// float payload, and an end record carrying ticks. The bytes then replay
-// to the same events, with the batched ticks delivered as one.
-func TestTraceFormatV2Layout(t *testing.T) {
-	info := mustAnalyze(t, "v2", v2Src)
-	if len(info.Loops) != 1 || len(info.Loops[0].Observed) < 2 {
-		t.Fatalf("v2Src: want one loop observing two phis, got %d loops", len(info.Loops))
+// next record), payloads without kind bytes, a header-only next record
+// and an explicit iter record at a moved stack pointer, predicted
+// addresses that hit and miss (a fresh slot predicts 0; a slot learns its
+// stride), the fallbacks past the last position and past the deepest
+// modelled loop, positions resuming in the enclosing loop after exits,
+// and an end record carrying ticks. The loop re-enters itself to nest, as
+// a recursive function's loop does. The bytes then replay to the same
+// events, with the batched ticks delivered as one.
+func TestTraceFormatV3Layout(t *testing.T) {
+	info := mustAnalyze(t, "v3", layoutSrc)
+	if len(info.Loops) != 1 || len(info.Loops[0].Observed) != 2 {
+		t.Fatalf("layoutSrc: want one loop observing two phis, got %d loops", len(info.Loops))
 	}
 	lm := info.Loops[0]
+	obs := func(i int64, f float64, defTick int64) []interp.LCDObs {
+		return []interp.LCDObs{
+			{Val: interp.Val{K: ir.KInt, I: i}, DefTick: -1},
+			{Val: interp.Val{K: ir.KFloat, F: f}, DefTick: defTick},
+		}
+	}
 	var buf bytes.Buffer
 	tw := NewTraceWriter(&buf, info)
 	tw.Tick(2)
 	tw.Tick(3)
 	tw.Store(100)
-	tw.Tick(62)
+	tw.Tick(30)
 	tw.Load(99)
-	tw.Tick(63)
+	tw.Tick(31)
 	tw.Load(99)
 	tw.Tick(200)
 	tw.Store(98)
 	tw.Tick(14)
 	tw.EnterLoop(lm, 1000, []interp.Val{{K: ir.KInt, I: 7}, {K: ir.KFloat, F: 1.5}})
+	tw.Load(0)
+	tw.Store(500)
 	tw.Tick(15)
-	tw.IterLoop(lm, 996, []interp.LCDObs{
-		{Val: interp.Val{K: ir.KInt, I: 8}, DefTick: -1},
-		{Val: interp.Val{K: ir.KFloat, F: 2.5}, DefTick: 356}, // clock 359
-	})
+	tw.IterLoop(lm, 1000, obs(8, 2.5, 292)) // clock 295
+	tw.Load(0)
+	tw.Store(504)
+	tw.IterLoop(lm, 996, obs(9, 3.5, -1))
+	tw.Load(0)
+	tw.Store(508)
+	tw.EnterLoop(lm, 996, []interp.Val{{K: ir.KInt}, {K: ir.KFloat}})
+	for range tracePositions + 1 {
+		tw.Load(0)
+	}
+	for range traceDepths - 1 {
+		tw.EnterLoop(lm, 996, nil)
+	}
+	tw.Load(0)
+	tw.IterLoop(lm, 996, obs(1, 0.5, -1))
+	for range traceDepths {
+		tw.ExitLoop(lm)
+	}
+	tw.Load(0)
 	tw.ExitLoop(lm)
 	tw.Tick(20)
 	if err := tw.Close(); err != nil {
 		t.Fatal(err)
 	}
 	want := strings.Join([]string{
-		// magic, version 2, name "v2", 1 loop
-		"4c505472", "02", "02", "7632", "01",
-		// 5 ticks from two Tick calls, store: address delta +100
+		// magic, version 3, name "v3", 1 loop
+		"4c505472", "03", "02", "7633", "01",
+		// 5 ticks from two Tick calls, store outside loops: address
+		// delta +100
 		"c5", "c801",
-		// 62 ticks, load -1
-		"be", "01",
-		// 63 ticks: the escape value plus 0, load +0
-		"bf", "00", "00",
-		// 200 ticks: the escape value plus 137, store -1
-		"ff", "8901", "01",
-		// 14 ticks, enter loop 0: sp +1000, 2 values: int 7, float 1.5
-		"1e", "00", "d00f", "02", "02", "0e", "03", "000000000000f83f",
-		// 15 ticks (escape plus 0), iter loop 0: sp -4, 2 observations:
-		// int 8 with defTick -1, float 2.5 with defTick 356 (clock 359 - 3)
-		"2f", "00", "00", "07", "02", "02", "10", "00", "03", "0000000000000440", "07",
+		// 30 ticks, load -1
+		"9e", "01",
+		// 31 ticks: the escape value plus 0, load +0
+		"9f", "00", "00",
+		// 200 ticks: the escape value plus 169, store -1
+		"df", "a901", "01",
+		// 14 ticks, enter loop 0: sp +1000, 2 values with no kind
+		// bytes: int 7, float 1.5
+		"1e", "00", "d00f", "02", "0e", "000000000000f83f",
+		// depth 1, position 0: the fresh slot predicts 0, a hit
+		"a0",
+		// position 1 predicts 0, a miss: store +500
+		"c0", "e807",
+		// 15 ticks (escape plus 0), next: int 8 with defTick -1,
+		// float 2.5 with defTick 292 (clock 295 - 3)
+		"5f", "00", "10", "00", "0000000000000440", "07",
+		// position 0 hits; position 1 predicts 500 + 500, a miss:
+		// store +504
+		"a0", "c0", "f007",
+		// the stack pointer moved: an explicit iter of loop 0, sp -4,
+		// 2 observations: int 9, float 3.5, both with defTick -1
+		"20", "00", "07", "02", "12", "00", "0000000000000c40", "00",
+		// position 0 hits; position 1 predicts 504 + 4, a hit
+		"a0", "e0",
+		// enter loop 0 again (depth 2): sp +0, int 0, float 0
+		"10", "00", "00", "02", "00", "0000000000000000",
+		// 16 loads predicted by fresh slots, then one past the last
+		// position: load +0
+		strings.Repeat("a0", tracePositions), "80", "00",
+		// 7 more enters reach depth 9, past the deepest modelled loop
+		strings.Repeat("10000000", traceDepths-1),
+		// so the load there has no slot (load +0), and an iteration at
+		// the previous stack pointer is an explicit iter: sp +0, int 1,
+		// float 0.5
+		"80", "00",
+		"20", "00", "00", "02", "02", "00", "000000000000e03f", "00",
+		// 8 exits back to depth 1, whose position 2 predicts 0, a hit
+		strings.Repeat("3000", traceDepths), "a0",
 		// exit loop 0
 		"30", "00",
-		// 20 ticks (escape plus 5), end: 379 ticks in total
-		"4f", "05", "fb02",
+		// 20 ticks (escape plus 5), end: 315 ticks in total
+		"4f", "05", "bb02",
 	}, "")
 	if got := hex.EncodeToString(buf.Bytes()); got != want {
-		t.Fatalf("v2 bytes:\n got %s\nwant %s", got, want)
+		t.Fatalf("v3 bytes:\n got %s\nwant %s", got, want)
 	}
 
 	tr, err := NewTraceReader(bytes.NewReader(buf.Bytes()), info)
@@ -315,13 +387,80 @@ func TestTraceFormatV2Layout(t *testing.T) {
 		t.Fatal(err)
 	}
 	wantLog := []string{
-		"tick 5", "store 100", "tick 62", "load 99", "tick 63", "load 99", "tick 200", "store 98",
+		"tick 5", "store 100", "tick 30", "load 99", "tick 31", "load 99", "tick 200", "store 98",
 		"tick 14", "enter 0 sp=1000 [{i64 7 0} {f64 0 1.5}]",
-		"tick 15", "iter 0 sp=996 [{{i64 8 0} -1} {{f64 0 2.5} 356}]",
-		"exit 0", "tick 20",
+		"load 0", "store 500",
+		"tick 15", "iter 0 sp=1000 [{{i64 8 0} -1} {{f64 0 2.5} 292}]",
+		"load 0", "store 504",
+		"iter 0 sp=996 [{{i64 9 0} -1} {{f64 0 3.5} -1}]",
+		"load 0", "store 508",
+		"enter 0 sp=996 [{i64 0 0} {f64 0 0}]",
 	}
+	for range tracePositions + 1 {
+		wantLog = append(wantLog, "load 0")
+	}
+	for range traceDepths - 1 {
+		wantLog = append(wantLog, "enter 0 sp=996 []")
+	}
+	wantLog = append(wantLog, "load 0", "iter 0 sp=996 [{{i64 1 0} -1} {{f64 0 0.5} -1}]")
+	for range traceDepths {
+		wantLog = append(wantLog, "exit 0")
+	}
+	wantLog = append(wantLog, "load 0", "exit 0", "tick 20")
 	if strings.Join(log, "\n") != strings.Join(wantLog, "\n") {
 		t.Errorf("replayed events:\n%s\nwant:\n%s", strings.Join(log, "\n"), strings.Join(wantLog, "\n"))
+	}
+}
+
+// TestTraceWriterKindMismatch: payload values carry no kind byte, so a
+// value whose kind is not its observed phi's fails the trace instead of
+// replaying as another value.
+func TestTraceWriterKindMismatch(t *testing.T) {
+	info := mustAnalyze(t, "kinds", layoutSrc)
+	lm := info.Loops[0]
+	tw := NewTraceWriter(io.Discard, info)
+	tw.EnterLoop(lm, 0, []interp.Val{{K: ir.KInt, I: 1}, {K: ir.KInt, I: 2}}) // phi 1 is a float
+	tw.Tick(1)
+	if err := tw.Close(); err == nil || !strings.Contains(err.Error(), "has kind i64, its phi f64") {
+		t.Errorf("Close = %v, want a kind mismatch", err)
+	}
+	tw = NewTraceWriter(io.Discard, info)
+	tw.IterLoop(lm, 0, make([]interp.LCDObs, 3))
+	if err := tw.Close(); err == nil || !strings.Contains(err.Error(), "3 payload values") {
+		t.Errorf("Close = %v, want an oversized payload error", err)
+	}
+}
+
+// TestTraceRecordingAllocs: the trace writer takes its block from the
+// pool and returns it at Close, so recording a small program's trace
+// costs a small fraction of the 64 KiB block on top of the same run
+// untraced.
+func TestTraceRecordingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	info := mustAnalyze(t, "allocs", doallSrc)
+	perRun := func(opts RunOptions) int64 {
+		const runs = 50
+		if _, err := Run(info, BestHELIX(), opts); err != nil { // warm the pools
+			t.Fatal(err)
+		}
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		for range runs {
+			if _, err := Run(info, BestHELIX(), opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&ms)
+		return int64(ms.TotalAlloc-before) / runs
+	}
+	plain := perRun(RunOptions{})
+	traced := perRun(RunOptions{Trace: io.Discard})
+	t.Logf("per run: %d bytes untraced, %d traced", plain, traced)
+	if extra := traced - plain; extra > traceBlockSize/16 {
+		t.Errorf("recording a trace allocates %d bytes more per run, want <= %d", extra, traceBlockSize/16)
 	}
 }
 
@@ -383,7 +522,7 @@ func main() int {
 func TestReplayWildStoreMemoryBounded(t *testing.T) {
 	info := mustAnalyze(t, "nest4", nest4Src)
 	loops := slices.Clone(info.Loops)
-	slices.SortFunc(loops, func(a, b *analysis.LoopMeta) int { return a.Loop.Depth - b.Loop.Depth })
+	slices.SortFunc(loops, byDepth)
 	if len(loops) != 4 || loops[3].Loop.Depth != 4 {
 		t.Fatalf("nest4Src: want four nested loops, got %d", len(loops))
 	}

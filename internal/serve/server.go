@@ -62,8 +62,9 @@ type Options struct {
 	CacheEntries int
 	// TraceCacheBytes bounds the trace tier — recorded event streams that
 	// serve novel configurations of already-seen programs by replay
-	// instead of re-interpretation (0 = DefaultTraceCacheBytes, negative
-	// disables the tier).
+	// instead of re-interpretation — charging each entry its trace bytes
+	// plus an estimate of its analysis's heap (0 = DefaultTraceCacheBytes,
+	// negative disables the tier).
 	TraceCacheBytes int64
 	// TraceDir roots the durable trace tier: checksummed .lptrace files
 	// that survive restarts, scrubbed for corruption at startup and
@@ -274,7 +275,7 @@ func (s *Server) registerMetrics() {
 			"Trace entries dropped by the byte budget.",
 			func() float64 { return float64(s.traces.Stats().Evictions) })
 		s.reg.NewGaugeFunc("lpd_trace_cache_bytes",
-			"Bytes of event traces currently stored.",
+			"Bytes charged to the trace tier: stored event traces plus the estimated heap of the analyses they pin.",
 			func() float64 { return float64(s.traces.Stats().Bytes) })
 		s.reg.NewGaugeFunc("lpd_trace_cache_entries",
 			"Event traces currently stored.",

@@ -4,11 +4,15 @@ import (
 	"bytes"
 	"net/http"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"loopapalooza/internal/analysis"
+	"loopapalooza/internal/bench"
+	"loopapalooza/internal/bytecode"
 	"loopapalooza/internal/core"
 )
 
@@ -54,6 +58,97 @@ func TestTraceCacheLRUByteBudget(t *testing.T) {
 	tc.Drop("a")
 	if st := tc.Stats(); st.Bytes != 70 || st.Entries != 3 {
 		t.Errorf("after drop: %+v, want 70 bytes, 3 entries", st)
+	}
+}
+
+// liveHeap returns the live heap after two full collections, the second
+// clearing what the first moved to the pools' victim caches.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestAnalysisChargeTracksLiveHeap: the trace tier's estimate of what an
+// entry's analysis pins is within 2x of the heap it measurably keeps
+// live, for every suite kernel, both as a fresh analysis (an entry
+// promoted from the disk tier) and once lowered (an entry recorded by a
+// live run).
+func TestAnalysisChargeTracksLiveHeap(t *testing.T) {
+	within := func(what string, charge, live int64) {
+		t.Helper()
+		if charge > 2*live || live > 2*charge {
+			t.Errorf("%s: charged %d bytes, live heap %d: not within 2x", what, charge, live)
+		}
+	}
+	// One analysis first, for the front end's first-use allocations.
+	warm, err := core.AnalyzeSource("warm", okSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bytecode.For(warm); err != nil {
+		t.Fatal(err)
+	}
+	kept := make([]*analysis.ModuleInfo, 0, len(bench.All()))
+	var charged, measured int64
+	for _, b := range bench.All() {
+		before := liveHeap()
+		info, err := core.AnalyzeSource(b.Name, b.Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		analyzed := liveHeap()
+		within(b.Name, analysisCharge(info), analyzed-before)
+		if _, err := bytecode.For(info); err != nil {
+			t.Fatal(err)
+		}
+		lowered := liveHeap()
+		within(b.Name+" lowered", analysisCharge(info), lowered-before)
+		kept = append(kept, info)
+		charged += analysisCharge(info)
+		measured += lowered - before
+	}
+	t.Logf("%d lowered analyses: charged %d bytes, live heap %d", len(kept), charged, measured)
+	within("suite", charged, measured)
+}
+
+// TestTraceCacheEvictsByCombinedCharge: an entry is charged its analysis
+// as well as its trace, so a tier of small traces with large analyses
+// evicts, and skips an entry whose analysis alone passes the cap, on the
+// combined charge.
+func TestTraceCacheEvictsByCombinedCharge(t *testing.T) {
+	info, err := core.AnalyzeSource("pinned", okSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.Run(info, core.BestHELIX(), core.RunOptions{}); err != nil { // lowers info
+		t.Fatal(err)
+	}
+	a := analysisCharge(info)
+	trace := make([]byte, 10)
+	// Entries of a+10 bytes: four fit, as the entry cap promises, and a
+	// fifth evicts. Charging the traces alone, 57 of them would fit.
+	tc := NewTraceCache(4*(a+10) + 5)
+	for _, k := range []string{"a", "b", "c", "d"} {
+		tc.Put(k, info, trace)
+	}
+	if st := tc.Stats(); st.Evictions != 0 || st.Entries != 4 || st.Bytes != 4*(a+10) {
+		t.Fatalf("four entries: %+v, want 4 entries charged %d bytes", st, 4*(a+10))
+	}
+	tc.Put("e", info, trace)
+	st := tc.Stats()
+	if st.Evictions != 1 || st.Entries != 4 || st.Bytes != 4*(a+10) {
+		t.Fatalf("fifth entry: %+v, want 1 eviction, 4 entries charged %d bytes", st, 4*(a+10))
+	}
+	if _, _, ok := tc.Get("a"); ok {
+		t.Error("a should have been evicted (least recently used)")
+	}
+	small := NewTraceCache(4 * a) // entry cap a: the 10-byte trace passes it
+	small.Put("x", info, trace)
+	if st := small.Stats(); st.Skipped != 1 || st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("over the cap by its analysis: %+v, want skipped", st)
 	}
 }
 
