@@ -115,6 +115,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzTraceDecode$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz='^FuzzFCMDifferential$$' -fuzztime=$(FUZZTIME) ./internal/predict
 	$(GO) test -run='^$$' -fuzz='^FuzzWALReplay$$' -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -run='^$$' -fuzz='^FuzzChunkedFile$$' -fuzztime=$(FUZZTIME) ./internal/wal
+	$(GO) test -run='^$$' -fuzz='^FuzzAnalyzeBody$$' -fuzztime=$(FUZZTIME) ./internal/serve
 
 # Longer fuzzing session (override FUZZTIME for overnight runs).
 fuzz:
@@ -144,17 +146,18 @@ vuln:
 # Full measurement run: the perf suite (engine hot path, VM dispatch,
 # end-to-end sweep, parallel vs serial vs auto-width sub-benchmarks, the
 # paper-grid fan-out sweep, trace replay of every kernel with its
-# trace-size census, the uncached front end of every kernel, plus the
-# bytecode compiler's opcode-mix census) and the root VM and
-# value-predictor benchmarks, rendered to BENCH_PR22.json with the
+# trace-size census, the uncached front end of every kernel, the lpd
+# analyze fill of every kernel through the trace tier, cold and replayed,
+# plus the bytecode compiler's opcode-mix census) and the root VM and
+# value-predictor benchmarks, rendered to BENCH_PR23.json with the
 # speedup-ratio tables and the measuring box's CPU count. Earlier
 # BENCH_PR*.json files are checked-in baselines; benchsmoke gates against
 # the newest.
 bench:
-	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|BytecodeLowering|FrontEnd|TraceReplay' \
-		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench | tee bench.out
+	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|BytecodeLowering|FrontEnd|TraceReplay|AnalyzeFill' \
+		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench ./internal/serve | tee bench.out
 	$(GO) test -run='^$$' -bench='^Benchmark(Interpreter|Predictors)$$' -benchmem -count=1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR22.json bench.out
+	$(GO) run ./cmd/benchjson -o BENCH_PR23.json bench.out
 	rm -f bench.out
 
 figures:

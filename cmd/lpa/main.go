@@ -53,7 +53,7 @@ func main() {
 	justRun := flag.Bool("run", false, "execute the program without the limit study")
 	maxSteps := flag.Int64("max-steps", 0, "dynamic instruction budget (0 = default)")
 	timeout := flag.Duration("timeout", 0, "wall-clock budget (0 = none)")
-	memLimit := flag.Int64("mem-limit", 0, "heap budget in 64-bit cells (0 = default)")
+	memLimit := flag.Int64("mem-limit", 0, "memory budget in 64-bit cells: the heap, and the globals and the stack each (0 = default)")
 	parallel := flag.Int("parallel", 0, "fan-out worker pool width for -all (0 = share GOMAXPROCS among the runs in flight, 1 = serial; reports are bit-identical at every width)")
 	flag.Parse()
 

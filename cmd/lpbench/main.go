@@ -66,7 +66,7 @@ func run() int {
 	matrix := flag.Bool("matrix", false, "per-benchmark speedups under key configurations")
 	maxSteps := flag.Int64("max-steps", 0, "per-run dynamic instruction budget (0 = default)")
 	timeout := flag.Duration("timeout", 0, "per-run wall-clock budget (0 = none)")
-	memLimit := flag.Int64("mem-limit", 0, "per-run heap budget in 64-bit cells (0 = default)")
+	memLimit := flag.Int64("mem-limit", 0, "per-run memory budget in 64-bit cells: the heap, and the globals and the stack each (0 = default)")
 	keepGoing := flag.Bool("keep-going", true, "render figures over surviving cells instead of aborting on the first failure")
 	parallel := flag.Int("parallel", 0, "fan-out worker pool width per execution (0 = share GOMAXPROCS among the runs in flight, 1 = serial; reports are bit-identical at every width)")
 	traceDir := flag.String("trace-dir", "", "record each benchmark execution's event trace into this directory")

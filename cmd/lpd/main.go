@@ -121,7 +121,7 @@ func main() {
 	flag.IntVar(&cfg.cacheEntries, "cache", 0, "result-cache capacity in entries (0 = default)")
 	flag.Int64Var(&cfg.maxSteps, "max-steps", 500_000_000, "per-run dynamic instruction budget and cap (0 = interpreter default)")
 	flag.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-run wall-clock budget and cap (0 = none)")
-	flag.Int64Var(&cfg.memLimit, "mem-limit", 0, "per-run heap budget in 64-bit cells and cap (0 = interpreter default)")
+	flag.Int64Var(&cfg.memLimit, "mem-limit", 0, "per-run memory budget in 64-bit cells (the heap, and the globals and the stack each) and cap (0 = interpreter default)")
 	flag.DurationVar(&cfg.shutdown, "shutdown-timeout", 15*time.Second,
 		"graceful-shutdown window; on expiry in-flight cells are released back to the queue as canceled")
 	flag.IntVar(&cfg.parallel, "parallel", 0,

@@ -68,8 +68,17 @@ func waitJobs(t *testing.T, c *cluster.Coordinator, timeout time.Duration, jobs 
 // budget is sized so transient faults cannot park a cell outright, hence
 // every cell must come back OK and bit-identical to the oracle.
 func TestChaosMixedFaults(t *testing.T) {
+	// The lease is sized, as in TestChaosCrashedWorker, for a saturated
+	// -race run: there a healthy worker's heartbeats (every lease/3) can
+	// be starved for over 100 ms, and a 150 ms lease expired on steady
+	// and flaky as often as on the faulty workers, burning attempts
+	// until a cell ran out of them. sleepy's hang stays twice the lease,
+	// so lease expiry is still exercised; with fewer retries sleepy
+	// claims fewer tasks, so it hangs on half of them to hang in most
+	// runs.
+	const lease = time.Second
 	coord := cluster.NewCoordinator(cluster.CoordinatorOptions{
-		Lease:        150 * time.Millisecond,
+		Lease:        lease,
 		MaxAttempts:  8,
 		RetryBackoff: 5 * time.Millisecond,
 		MaxBackoff:   40 * time.Millisecond,
@@ -85,7 +94,7 @@ func TestChaosMixedFaults(t *testing.T) {
 	inj := chaos.NewInjector(42)
 	inj.SetProfile("flaky", chaos.Profile{Panic: 0.5, Slow: 0.5, SlowDelay: 5 * time.Millisecond})
 	inj.SetProfile("liar", chaos.Profile{Corrupt: 0.5, DropHeartbeat: 0.5})
-	inj.SetProfile("sleepy", chaos.Profile{Hang: 0.3, HangDelay: 300 * time.Millisecond})
+	inj.SetProfile("sleepy", chaos.Profile{Hang: 0.5, HangDelay: 2 * lease})
 	// "steady" keeps the zero profile: the healthy worker that guarantees
 	// forward progress while the others misbehave.
 	stop := fleet(t, coord, inj, []string{"steady", "flaky", "liar", "sleepy"})
@@ -112,7 +121,12 @@ func TestChaosMixedFaults(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Counts[core.OutcomeOK] != st.Total {
-			t.Fatalf("job %s: %s — transient faults must not park cells with attempts to spare", id, st.Summary)
+			var parked []string
+			for _, c := range st.Parked {
+				parked = append(parked, fmt.Sprintf("%s/%s: %s after %d attempts", c.Bench, c.Config, c.Outcome, c.Attempts))
+			}
+			t.Fatalf("job %s: %s — transient faults must not park cells with attempts to spare; parked: %s",
+				id, st.Summary, strings.Join(parked, "; "))
 		}
 	}
 	counts := inj.Counts()

@@ -63,7 +63,10 @@ import (
 	"time"
 
 	"loopapalooza/internal/analysis"
+	"loopapalooza/internal/diag"
 	"loopapalooza/internal/interp"
+	"loopapalooza/internal/ir"
+	"loopapalooza/internal/lang/token"
 )
 
 // FanoutThreshold is the configuration count below which MultiRun replays
@@ -628,10 +631,28 @@ func interpret(info *analysis.ModuleInfo, opts RunOptions, hooks interp.Hooks) e
 		Deadline:     deadline,
 		Hooks:        hooks,
 	}
+	if err := checkEntry(info.Mod, len(opts.EntryArgs)); err != nil {
+		return fmt.Errorf("core: %s: %w", info.Mod.Name, err)
+	}
 	if _, err := opts.oracle.execute(info, cfg, opts.EntryArgs); err != nil {
 		return fmt.Errorf("core: %s: %w", info.Mod.Name, err)
 	}
 	return nil
+}
+
+// checkEntry reports a module whose main function is missing, or takes
+// other than nargs arguments, as a diagnostic of the program: no run of
+// it can start.
+func checkEntry(m *ir.Module, nargs int) error {
+	for _, f := range m.Funcs {
+		if f.Name == "main" {
+			if len(f.Params) != nargs {
+				return diag.New(m.Name, token.Pos{}, "main takes %d arguments, the run passes %d", len(f.Params), nargs)
+			}
+			return nil
+		}
+	}
+	return diag.New(m.Name, token.Pos{}, "no main function")
 }
 
 // traceSink wraps the optional opts.Trace writer, returning nil when

@@ -18,8 +18,9 @@ type RunOptions struct {
 	Out io.Writer
 	// MaxSteps bounds execution (0 = interpreter default).
 	MaxSteps int64
-	// MaxHeapCells bounds the simulated heap in 64-bit cells (0 =
-	// interpreter default). Exceeding it fails the run with ErrMemLimit.
+	// MaxHeapCells bounds the simulated heap in 64-bit cells, and the
+	// global segment and the stack to as many cells each (0 =
+	// interpreter defaults). Exceeding it fails the run with ErrMemLimit.
 	MaxHeapCells int64
 	// Ctx, when non-nil, cancels the run mid-execution (ErrCanceled, or
 	// ErrDeadline when the context deadline expired).

@@ -19,7 +19,9 @@ type Config struct {
 	// MaxSteps bounds the dynamic instruction count (0 = default).
 	MaxSteps int64
 	// MaxHeapCells bounds the simulated heap, in 64-bit cells
-	// (0 = DefaultHeapWords). Exceeding it fails the run with ErrMemLimit.
+	// (0 = DefaultHeapWords), and the global segment and the stack to as
+	// many cells each (0 = DefaultStackWords for the stack). Exceeding
+	// it fails the run with ErrMemLimit.
 	MaxHeapCells int64
 	// Ctx, when non-nil, cancels the run: the interpreter polls it every
 	// PollInterval steps and fails with ErrCanceled (or ErrDeadline when

@@ -44,15 +44,21 @@ type Memory struct {
 }
 
 // NewMemory returns a fresh memory with a zeroed global segment of
-// globalWords cells and the given heap budget (0 = DefaultHeapWords).
+// globalWords cells and the given memory budget: the heap may grow to
+// heapLimit cells and the stack to heapLimit words, or to
+// DefaultHeapWords and DefaultStackWords when heapLimit is 0. (The
+// engines bound the global segment by the same budget.)
 func NewMemory(globalWords, heapLimit int64) *Memory {
+	stackLimit := int64(DefaultStackWords)
 	if heapLimit <= 0 {
 		heapLimit = DefaultHeapWords
+	} else {
+		stackLimit = min(stackLimit, heapLimit)
 	}
 	return &Memory{
 		globals:    make([]Val, globalWords),
 		heapLimit:  heapLimit,
-		stackLimit: DefaultStackWords,
+		stackLimit: stackLimit,
 		SP:         StackTop,
 	}
 }

@@ -73,6 +73,25 @@ func grow(n int) int {
 func main() int { return grow(100000); }`, "stack overflow")
 }
 
+// TestStackBoundedByMemoryBudget: an explicit memory budget bounds the
+// stack too, so a frame larger than the budget traps far below
+// DefaultStackWords; with no budget the stack keeps its default bound.
+func TestStackBoundedByMemoryBudget(t *testing.T) {
+	big := `
+func main() int {
+	var a [100000]int;
+	a[99999] = 7;
+	return a[99999];
+}`
+	wantRunErrorUnder(t, Config{MaxHeapCells: 1 << 14}, big, "stack overflow")
+	if m := NewMemory(0, 1<<17); m.stackLimit != 1<<17 {
+		t.Errorf("stack limit under a 2^17-cell budget = %d", m.stackLimit)
+	}
+	if m := NewMemory(0, 0); m.stackLimit != DefaultStackWords {
+		t.Errorf("stack limit with no budget = %d, want DefaultStackWords", m.stackLimit)
+	}
+}
+
 func TestHeapExhaustionTraps(t *testing.T) {
 	// Exhausting the default heap budget allocates gigabytes of host
 	// memory over ~100s; a reduced budget trips the same exhaustion path.

@@ -15,7 +15,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -34,6 +33,7 @@ import (
 	"loopapalooza/internal/core"
 	"loopapalooza/internal/diag"
 	"loopapalooza/internal/metrics"
+	"loopapalooza/internal/wal"
 )
 
 // Budgets are the per-request resource limits, JSON-addressable so clients
@@ -41,7 +41,8 @@ import (
 type Budgets struct {
 	// MaxSteps bounds the dynamic instruction count (0 = server default).
 	MaxSteps int64 `json:"maxSteps,omitempty"`
-	// MaxHeapCells bounds the simulated heap in 64-bit cells (0 = server
+	// MaxHeapCells bounds the simulated heap in 64-bit cells, and the
+	// global segment and the stack to as many cells each (0 = server
 	// default).
 	MaxHeapCells int64 `json:"maxHeapCells,omitempty"`
 	// TimeoutMs bounds the run's wall-clock time in milliseconds (0 =
@@ -674,7 +675,7 @@ func (s *Server) analyzeFill(name, source string, cfg core.Config, budgets Budge
 	tkey := TraceKey(name, source, budgets)
 	if s.traces != nil {
 		if info, trace, ok := s.traces.Get(tkey); ok {
-			rep, err := core.ReplayTrace(name, info, cfg, core.RunOptions{}, bytes.NewReader(trace))
+			rep, err := core.ReplayTrace(name, info, cfg, core.RunOptions{}, wal.NewBlockReader(trace))
 			if err == nil {
 				return rep, nil
 			}
@@ -698,7 +699,7 @@ func (s *Server) analyzeFill(name, source string, cfg core.Config, budgets Budge
 			if aerr != nil {
 				return nil, aerr
 			}
-			rep, rerr := core.ReplayTrace(name, info, cfg, core.RunOptions{}, bytes.NewReader(trace))
+			rep, rerr := core.ReplayTrace(name, info, cfg, core.RunOptions{}, wal.NewBlockReader(trace))
 			if rerr == nil {
 				if s.traces != nil {
 					s.traces.Put(tkey, info, trace) // promote to memory
@@ -722,12 +723,11 @@ func (s *Server) analyzeFill(name, source string, cfg core.Config, budgets Budge
 	opts.Trace = sink
 	rep, err := core.Run(info, cfg, opts)
 	if err == nil && !sink.overflow {
-		trace := sink.bytes()
 		if s.traces != nil {
-			s.traces.Put(tkey, info, trace)
+			s.traces.Put(tkey, info, sink.blocks)
 		}
 		if s.store != nil {
-			if perr := s.store.Put(tkey, trace); perr != nil {
+			if perr := s.store.Put(tkey, sink.blocks); perr != nil {
 				s.log.Warn("trace store write failed", "name", name, "key", tkey[:12], "err", perr)
 			}
 		}

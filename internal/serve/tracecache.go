@@ -8,14 +8,17 @@ package serve
 // cached trace serves ANY configuration by replay, which costs decode +
 // engine work instead of interpretation.
 //
-// Entries are (module analysis, trace bytes) pairs under a byte-budget
-// LRU that charges each entry its trace bytes plus an estimate of the heap
-// its analysis pins (analysisCharge). Traces are recorded into a capped
-// in-memory buffer during the (single) live run of a program; a run whose
-// trace outgrows the per-entry cap still completes normally — the trace is
-// simply not cached.
+// Entries are (module analysis, trace) pairs under a byte-budget LRU
+// that charges each entry its trace bytes plus an estimate of the heap
+// its analysis pins (analysisCharge). A trace is held as the list of
+// blocks it was recorded in (cappedBuffer), or as the one block the disk
+// tier read it into, and is never joined: both tiers store that list,
+// and replays read it in place (wal.BlockReader). Recording an N-byte
+// trace thus allocates about N. A run whose trace outgrows the per-entry
+// cap still completes normally — the trace is simply not cached.
 
 import (
+	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/binary"
@@ -77,8 +80,8 @@ type TraceCache struct {
 type traceItem struct {
 	key    string
 	info   *analysis.ModuleInfo
-	trace  []byte
-	charge int64 // len(trace) + analysisCharge(info)
+	trace  [][]byte // the trace's blocks; never written once stored
+	charge int64    // Σ len(block) + analysisCharge(info)
 }
 
 // The coefficients of analysisCharge, fitted to the live heap of the 57
@@ -131,9 +134,10 @@ func NewTraceCache(budget int64) *TraceCache {
 // programs always fits.
 func (tc *TraceCache) EntryCap() int64 { return tc.budget / 4 }
 
-// Get returns the stored trace and its module analysis, counting the
-// lookup either way.
-func (tc *TraceCache) Get(key string) (*analysis.ModuleInfo, []byte, bool) {
+// Get returns the stored trace's blocks and its module analysis,
+// counting the lookup either way. The blocks are shared with the entry
+// and every other Get of it: read them through a wal.BlockReader.
+func (tc *TraceCache) Get(key string) (*analysis.ModuleInfo, [][]byte, bool) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	el, ok := tc.items[key]
@@ -147,12 +151,17 @@ func (tc *TraceCache) Get(key string) (*analysis.ModuleInfo, []byte, bool) {
 	return it.info, it.trace, true
 }
 
-// Put stores one recorded trace with the analysis it replays against,
-// charging the byte budget len(trace) plus analysisCharge(info) and
-// evicting least-recently-used entries past it. Entries over the
-// per-entry cap are skipped (counted, not an error).
-func (tc *TraceCache) Put(key string, info *analysis.ModuleInfo, trace []byte) {
-	charge := int64(len(trace)) + analysisCharge(info)
+// Put stores one recorded trace, as its blocks, with the analysis it
+// replays against, charging the byte budget the blocks' total length plus
+// analysisCharge(info) and evicting least-recently-used entries past it.
+// Entries over the per-entry cap are skipped (counted, not an error). The
+// cache keeps trace itself: neither the caller nor anyone else may write
+// to it afterwards.
+func (tc *TraceCache) Put(key string, info *analysis.ModuleInfo, trace [][]byte) {
+	charge := analysisCharge(info)
+	for _, blk := range trace {
+		charge += int64(len(blk))
+	}
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	if charge > tc.EntryCap() {
@@ -201,42 +210,31 @@ func (tc *TraceCache) Stats() TraceCacheStats {
 	return s
 }
 
-// cappedBuffer is the trace sink of a live run: it accepts writes up to
-// cap bytes and silently discards the rest (recording a trace must never
-// fail the run it rides on), flagging the overflow so the truncated trace
-// is not cached. Each write is kept as its own block and bytes joins
-// them into one exact-size slice once the run has succeeded, so
-// recording an N-byte trace allocates about 2N, where growing one slice
-// would allocate about 5N and leave spare capacity the cache does not
-// charge for.
+// cappedBuffer is the trace sink of a live run. It keeps a copy of each
+// block the TraceWriter flushes, and that list of blocks is the trace
+// from then on: the memory tier stores it, the disk tier writes its
+// frames from it, and replays read it in place. So recording an N-byte
+// trace allocates N bytes of blocks and a list of about N/64K entries,
+// and nothing joins them. The sink accepts writes up to cap bytes and
+// silently discards the rest (recording a trace must never fail the run
+// it rides on): a write that would pass the cap flags the overflow and
+// drops every block kept so far, since a truncated trace is never
+// cached.
 type cappedBuffer struct {
 	cap      int64
-	size     int64 // bytes kept
+	size     int64 // Σ len(blocks)
 	blocks   [][]byte
 	overflow bool
 }
 
 func (b *cappedBuffer) Write(p []byte) (int, error) {
-	keep := p
-	if room := b.cap - b.size; room < int64(len(p)) {
-		b.overflow = true
-		keep = p[:max(room, 0)]
-	}
-	if len(keep) > 0 {
-		b.blocks = append(b.blocks, append([]byte(nil), keep...))
-		b.size += int64(len(keep))
+	switch {
+	case b.overflow:
+	case b.size+int64(len(p)) > b.cap:
+		b.blocks, b.size, b.overflow = nil, 0, true
+	default:
+		b.blocks = append(b.blocks, bytes.Clone(p))
+		b.size += int64(len(p))
 	}
 	return len(p), nil
-}
-
-// bytes returns everything kept, as one slice of exactly that length.
-func (b *cappedBuffer) bytes() []byte {
-	if len(b.blocks) == 1 {
-		return b.blocks[0]
-	}
-	out := make([]byte, 0, b.size)
-	for _, blk := range b.blocks {
-		out = append(out, blk...)
-	}
-	return out
 }

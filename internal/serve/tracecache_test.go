@@ -3,9 +3,9 @@ package serve
 import (
 	"bytes"
 	"net/http"
+	"path/filepath"
 	"reflect"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +14,7 @@ import (
 	"loopapalooza/internal/bench"
 	"loopapalooza/internal/bytecode"
 	"loopapalooza/internal/core"
+	"loopapalooza/internal/wal"
 )
 
 // TestTraceCacheLRUByteBudget exercises the byte-budget store directly:
@@ -23,7 +24,7 @@ func TestTraceCacheLRUByteBudget(t *testing.T) {
 	if tc.EntryCap() != 25 {
 		t.Fatalf("entry cap = %d, want 25", tc.EntryCap())
 	}
-	blob := func(n int) []byte { return make([]byte, n) }
+	blob := func(n int) [][]byte { return [][]byte{make([]byte, n/2), make([]byte, n-n/2)} }
 	tc.Put("a", nil, blob(20))
 	tc.Put("b", nil, blob(20))
 	tc.Put("c", nil, blob(20))
@@ -127,7 +128,7 @@ func TestTraceCacheEvictsByCombinedCharge(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := analysisCharge(info)
-	trace := make([]byte, 10)
+	trace := [][]byte{make([]byte, 10)}
 	// Entries of a+10 bytes: four fit, as the entry cap promises, and a
 	// fifth evicts. Charging the traces alone, 57 of them would fit.
 	tc := NewTraceCache(4*(a+10) + 5)
@@ -152,24 +153,37 @@ func TestTraceCacheEvictsByCombinedCharge(t *testing.T) {
 	}
 }
 
-// TestTraceCacheConcurrentDropDuringReplay: Drop removes an entry while
-// other goroutines are replaying the trace they just Got. Get hands out
-// the stored byte slice, so an in-flight replay must keep working on its
-// snapshot while the entry disappears (and reappears) under it — the
-// poisoned-trace fallback (Get → failed replay → Drop) races exactly
-// like this in production. Run with -race.
-func TestTraceCacheConcurrentDropDuringReplay(t *testing.T) {
-	info, err := core.AnalyzeSource("race", okSrc)
+// recordBlocks runs src once under BestHELIX, recording its trace
+// through a cappedBuffer, and returns the analysis, the report and the
+// trace re-split into size-byte blocks, so one entry spans many.
+func recordBlocks(t *testing.T, name, src string, size int) (*analysis.ModuleInfo, *core.Report, [][]byte) {
+	t.Helper()
+	info, err := core.AnalyzeSource(name, src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sink := &cappedBuffer{cap: 1 << 20}
-	want, err := core.Run(info, core.BestHELIX(), core.RunOptions{Trace: sink})
+	rep, err := core.Run(info, core.BestHELIX(), core.RunOptions{Trace: sink})
 	if err != nil || sink.overflow {
 		t.Fatalf("recording run: err=%v overflow=%v", err, sink.overflow)
 	}
+	var blocks [][]byte
+	for rest := bytes.Join(sink.blocks, nil); len(rest) > 0; rest = rest[min(size, len(rest)):] {
+		blocks = append(blocks, rest[:min(size, len(rest))])
+	}
+	return info, rep, blocks
+}
+
+// TestTraceCacheConcurrentDropDuringReplay: Drop removes an entry while
+// other goroutines are replaying the trace they just Got. Get hands out
+// the stored blocks, so an in-flight replay must keep working on them
+// while the entry disappears (and reappears) under it — the
+// poisoned-trace fallback (Get → failed replay → Drop) races exactly
+// like this in production. Run with -race.
+func TestTraceCacheConcurrentDropDuringReplay(t *testing.T) {
+	info, want, trace := recordBlocks(t, "race", okSrc, 97)
 	tc := NewTraceCache(1 << 20)
-	tc.Put("k", info, sink.bytes())
+	tc.Put("k", info, trace)
 
 	// The dropper cycles Drop/Put until every reader has replayed its
 	// quota, so a Get always eventually wins no matter how the goroutines
@@ -187,7 +201,7 @@ func TestTraceCacheConcurrentDropDuringReplay(t *testing.T) {
 				if !ok {
 					continue // dropped from under us: a legal miss
 				}
-				rep, err := core.ReplayTrace("race", mi, core.BestHELIX(), core.RunOptions{}, bytes.NewReader(trace))
+				rep, err := core.ReplayTrace("race", mi, core.BestHELIX(), core.RunOptions{}, wal.NewBlockReader(trace))
 				if err != nil {
 					t.Errorf("replay during concurrent drops: %v", err)
 					return
@@ -206,7 +220,7 @@ func TestTraceCacheConcurrentDropDuringReplay(t *testing.T) {
 		<-start
 		for !stopDrop.Load() {
 			tc.Drop("k")
-			tc.Put("k", info, sink.bytes())
+			tc.Put("k", info, trace)
 		}
 		tc.Drop("k")
 	}()
@@ -218,6 +232,40 @@ func TestTraceCacheConcurrentDropDuringReplay(t *testing.T) {
 	if st := tc.Stats(); st.Entries != 0 || st.Bytes != 0 {
 		t.Fatalf("after final drop: %+v, want an empty, zero-byte store", st)
 	}
+}
+
+// TestTraceCacheConcurrentReplaysOfOneEntry: goroutines replay the same
+// stored entry at once, each through its own wal.BlockReader over the
+// shared blocks, and every replay matches the live run. Under -race, a reader
+// that wrote to the shared list or blocks would be reported.
+func TestTraceCacheConcurrentReplaysOfOneEntry(t *testing.T) {
+	info, want, trace := recordBlocks(t, "shared", okSrc, 61)
+	tc := NewTraceCache(1 << 20)
+	tc.Put("k", info, trace)
+	var wg sync.WaitGroup
+	for i := 0; i < 6; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 5 {
+				mi, blocks, ok := tc.Get("k")
+				if !ok {
+					t.Error("stored entry missing")
+					return
+				}
+				rep, err := core.ReplayTrace("shared", mi, core.BestHELIX(), core.RunOptions{}, wal.NewBlockReader(blocks))
+				if err != nil {
+					t.Errorf("concurrent replay: %v", err)
+					return
+				}
+				if !reflect.DeepEqual(want, rep) {
+					t.Error("concurrent replay diverged from the recording run")
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestTraceCacheAccountingAfterFailedFill: fills that cannot produce a
@@ -250,8 +298,8 @@ func TestTraceCacheAccountingAfterFailedFill(t *testing.T) {
 
 	// Drop is idempotent: ghosts and double drops leave the account exact.
 	tc := NewTraceCache(100)
-	tc.Put("x", nil, make([]byte, 10))
-	tc.Put("y", nil, make([]byte, 7))
+	tc.Put("x", nil, [][]byte{make([]byte, 10)})
+	tc.Put("y", nil, [][]byte{make([]byte, 3), make([]byte, 4)})
 	tc.Drop("ghost")
 	tc.Drop("x")
 	tc.Drop("x")
@@ -279,18 +327,47 @@ func TestTraceKeyConfigIndependent(t *testing.T) {
 	}
 }
 
-// TestCappedBuffer: writes past the cap are discarded without error and
-// flagged, so a huge trace cannot fail or bloat the run that records it.
+// TestCappedBuffer: the sink keeps a copy of each write as its own
+// block; a write past the cap is discarded without error, flagged, and
+// drops every block kept before it, so a huge trace can neither fail nor
+// bloat the run that records it. A live run whose trace overflows leaves
+// no entry in either tier.
 func TestCappedBuffer(t *testing.T) {
 	b := &cappedBuffer{cap: 10}
-	for i := 0; i < 5; i++ {
-		n, err := b.Write([]byte("abcd"))
+	p := []byte("abcd")
+	for i, kept := range []int{1, 2, 0, 0, 0} {
+		n, err := b.Write(p)
 		if n != 4 || err != nil {
 			t.Fatalf("write %d: (%d, %v), want (4, nil)", i, n, err)
 		}
+		if len(b.blocks) != kept {
+			t.Fatalf("after write %d: %d blocks kept, want %d", i, len(b.blocks), kept)
+		}
+		if i == 0 {
+			p[0] = 'X' // the writer reuses its buffer; the kept block is a copy
+			if string(b.blocks[0]) != "abcd" {
+				t.Fatalf("kept block %q aliases the writer's buffer", b.blocks[0])
+			}
+		}
 	}
-	if !b.overflow || b.size != 10 {
-		t.Errorf("overflow=%v size=%d, want flagged overflow holding 10 bytes", b.overflow, b.size)
+	if !b.overflow || b.size != 0 || b.blocks != nil {
+		t.Errorf("overflow=%v size=%d blocks=%d, want a flagged overflow holding nothing", b.overflow, b.size, len(b.blocks))
+	}
+
+	// Every trace outgrows a 40-byte tier's 10-byte entry cap.
+	dir := t.TempDir()
+	s, ts := newTestServer(t, Options{TraceCacheBytes: 40, TraceDir: dir, ScrubInterval: -1})
+	if status, body := postJSON(t, ts.URL+"/v1/analyze", AnalyzeRequest{Name: "big", Source: okSrc}); status != http.StatusOK {
+		t.Fatalf("analyze with an overflowing trace: %d\n%s", status, body)
+	}
+	if st := s.traces.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Errorf("overflowed trace in the memory tier: %+v", st)
+	}
+	if st := s.store.Stats(); st.Puts != 0 {
+		t.Errorf("overflowed trace written to the store: %+v", st)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "*"+traceExt)); len(files) != 0 {
+		t.Errorf("overflowed trace left store files %v", files)
 	}
 }
 
@@ -348,7 +425,7 @@ func TestAnalyzeTraceTierCorruptFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.traces.Put(tkey, info, []byte("not a trace"))
+	s.traces.Put(tkey, info, [][]byte{[]byte("not a trace")})
 
 	status, body := postJSON(t, ts.URL+"/v1/analyze",
 		AnalyzeRequest{Name: "victim", Source: okSrc})
@@ -360,7 +437,7 @@ func TestAnalyzeTraceTierCorruptFallback(t *testing.T) {
 		t.Fatalf("no usable report after fallback: %+v", ar.Report)
 	}
 	// The poisoned entry was replaced by the live run's fresh trace.
-	if _, trace, ok := s.traces.Get(tkey); !ok || strings.HasPrefix(string(trace), "not a trace") {
+	if _, trace, ok := s.traces.Get(tkey); !ok || bytes.HasPrefix(bytes.Join(trace, nil), []byte("not a trace")) {
 		t.Error("poisoned trace entry not replaced")
 	}
 }

@@ -6,11 +6,19 @@ package serve
 // restarts — a recycled server replays yesterday's traces instead of
 // re-interpreting every program from scratch.
 //
+// The store holds a trace in the tiers' one representation, a list of
+// blocks. Put writes the checksummed frames straight from the blocks a
+// live run recorded; Get returns the verified payload as a one-block list
+// in a buffer of the file's size, which the memory tier can keep as it
+// is. Neither joins nor copies the trace a second time.
+//
 // The store is self-healing. Every file carries per-chunk CRC32C
 // checksums (wal.WriteChunked), so silent disk corruption is detected
 // on read; a scrubber walks the directory at startup and on a timer,
 // moving files that fail verification into quarantine/ beside the
-// store. A quarantined or missing trace is simply a miss: the next
+// store. The scrubber checks each file through a small read window
+// (wal.VerifyChunked), so a pass allocates next to nothing per stored
+// byte. A quarantined or missing trace is simply a miss: the next
 // demand for that program runs live and re-records the trace — repair
 // by re-execution, never by trusting damaged bytes.
 
@@ -82,16 +90,17 @@ func (ts *TraceStore) path(key string) string {
 	return filepath.Join(ts.dir, key+traceExt)
 }
 
-// Get returns the stored trace for key, checksum-verified. A missing
-// file is (nil, nil) — a plain miss. A file that fails verification is
-// quarantined and returned as a miss alongside the corruption error,
-// so the caller can log what the scrubber would have found.
-func (ts *TraceStore) Get(key string) ([]byte, error) {
+// Get returns the stored trace for key, checksum-verified, as a list of
+// one block. A missing file is (nil, nil) — a plain miss. A file that
+// fails verification is quarantined and returned as a miss alongside the
+// corruption error, so the caller can log what the scrubber would have
+// found.
+func (ts *TraceStore) Get(key string) ([][]byte, error) {
 	data, err := wal.ReadChunked(ts.path(key))
 	switch {
 	case err == nil:
 		ts.bump(func(s *TraceStoreStats) { s.Hits++ })
-		return data, nil
+		return [][]byte{data}, nil
 	case errors.Is(err, os.ErrNotExist):
 		ts.bump(func(s *TraceStoreStats) { s.Misses++ })
 		return nil, nil
@@ -102,8 +111,9 @@ func (ts *TraceStore) Get(key string) ([]byte, error) {
 	}
 }
 
-// Put stores one recorded trace under key, atomically.
-func (ts *TraceStore) Put(key string, trace []byte) error {
+// Put stores one recorded trace, given as its blocks, under key,
+// atomically.
+func (ts *TraceStore) Put(key string, trace [][]byte) error {
 	if err := wal.WriteChunked(ts.path(key), trace, 0); err != nil {
 		ts.bump(func(s *TraceStoreStats) { s.WriteErrors++ })
 		return fmt.Errorf("serve: trace store: %w", err)

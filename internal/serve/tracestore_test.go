@@ -19,12 +19,12 @@ func TestTraceStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trace := []byte("trace-bytes-go-here")
+	trace := [][]byte{[]byte("trace-"), []byte("bytes-go"), nil, []byte("-here")}
 	if err := ts.Put("k1", trace); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ts.Get("k1")
-	if err != nil || !bytes.Equal(got, trace) {
+	if err != nil || !bytes.Equal(bytes.Join(got, nil), []byte("trace-bytes-go-here")) {
 		t.Fatalf("Get = %q, %v; want the stored trace", got, err)
 	}
 	if got, err := ts.Get("absent"); got != nil || err != nil {
@@ -45,10 +45,10 @@ func TestTraceStoreScrubQuarantines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Put("good", bytes.Repeat([]byte("g"), 512)); err != nil {
+	if err := ts.Put("good", [][]byte{bytes.Repeat([]byte("g"), 512)}); err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Put("bad", bytes.Repeat([]byte("b"), 512)); err != nil {
+	if err := ts.Put("bad", [][]byte{bytes.Repeat([]byte("b"), 512)}); err != nil {
 		t.Fatal(err)
 	}
 	flipByte(t, filepath.Join(dir, "bad"+traceExt))
@@ -63,7 +63,7 @@ func TestTraceStoreScrubQuarantines(t *testing.T) {
 	if got, err := ts.Get("bad"); got != nil || err != nil {
 		t.Fatalf("quarantined key = %q, %v; want a clean miss", got, err)
 	}
-	if got, err := ts.Get("good"); err != nil || len(got) != 512 {
+	if got, err := ts.Get("good"); err != nil || len(bytes.Join(got, nil)) != 512 {
 		t.Fatalf("healthy trace damaged by scrub: %q, %v", got, err)
 	}
 	st := ts.Stats()
@@ -80,7 +80,7 @@ func TestTraceStoreGetQuarantinesCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ts.Put("k", bytes.Repeat([]byte("x"), 256)); err != nil {
+	if err := ts.Put("k", [][]byte{bytes.Repeat([]byte("x"), 256)}); err != nil {
 		t.Fatal(err)
 	}
 	flipByte(t, filepath.Join(dir, "k"+traceExt))
@@ -178,7 +178,7 @@ func TestAnalyzeDiskTierQuarantinesUnreplayable(t *testing.T) {
 	dir := t.TempDir()
 	s, front := newTestServer(t, Options{TraceDir: dir, ScrubInterval: -1})
 	tkey := TraceKey("liar", okSrc, s.effectiveBudgets(nil))
-	if err := s.store.Put(tkey, []byte("checksummed but not a trace")); err != nil {
+	if err := s.store.Put(tkey, [][]byte{[]byte("checksummed but not a trace")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -211,8 +211,8 @@ func TestAnalyzeMemoryPoisonQuarantinesDiskCopy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.traces.Put(tkey, info, []byte("not a trace"))
-	if err := s.store.Put(tkey, []byte("not a trace")); err != nil {
+	s.traces.Put(tkey, info, [][]byte{[]byte("not a trace")})
+	if err := s.store.Put(tkey, [][]byte{[]byte("not a trace")}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -258,7 +258,7 @@ func TestAnalyzeStaleTraceVersionReRecords(t *testing.T) {
 			dir := t.TempDir()
 			s, front := newTestServer(t, Options{TraceDir: dir, ScrubInterval: -1})
 			tkey := TraceKey("stale", okSrc, s.effectiveBudgets(nil))
-			if err := s.store.Put(tkey, stale.trace); err != nil {
+			if err := s.store.Put(tkey, [][]byte{stale.trace}); err != nil {
 				t.Fatal(err)
 			}
 			before := s.store.Stats()
@@ -282,7 +282,7 @@ func TestAnalyzeStaleTraceVersionReRecords(t *testing.T) {
 			if err != nil || trace == nil {
 				t.Fatalf("re-recorded trace: %v", err)
 			}
-			rep, err := core.ReplayTrace("stale", info, core.BestHELIX(), core.RunOptions{}, bytes.NewReader(trace))
+			rep, err := core.ReplayTrace("stale", info, core.BestHELIX(), core.RunOptions{}, wal.NewBlockReader(trace))
 			if err != nil {
 				t.Fatalf("re-recorded trace does not replay: %v", err)
 			}
@@ -303,5 +303,59 @@ func flipByte(t *testing.T, path string) {
 	data[len(data)-1] ^= 0xff
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTraceStoreReadsEarlierFile: testdata/oksrc-v3.chunked is okSrc's
+// trace in eight 512-byte frames, written by the WriteChunked that built
+// the whole file in one buffer. It still verifies, reads and replays to
+// the live run's report, and writing its payload again in 512-byte
+// frames, from blocks of another size, gives the same file byte for byte.
+func TestTraceStoreReadsEarlierFile(t *testing.T) {
+	file, err := os.ReadFile(filepath.Join("testdata", "oksrc-v3.chunked"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ts, err := NewTraceStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ts.path("old"), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res := ts.Scrub(nil); res.Files != 1 || res.Corrupt != 0 {
+		t.Fatalf("scrub of the earlier file = %+v, want 1 healthy file", res)
+	}
+	trace, err := ts.Get("old")
+	if err != nil || trace == nil {
+		t.Fatalf("Get of the earlier file: %v", err)
+	}
+	info, err := core.AnalyzeSource("oksrc", okSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.ReplayTrace("oksrc", info, core.BestHELIX(), core.RunOptions{}, wal.NewBlockReader(trace))
+	if err != nil {
+		t.Fatalf("replaying the earlier file: %v", err)
+	}
+	want, err := core.RunSource("oksrc", okSrc, core.BestHELIX(), core.RunOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(want, rep) {
+		t.Errorf("replay of the earlier file differs from a live run:\nlive:   %+v\nreplay: %+v", want, rep)
+	}
+	payload := bytes.Join(trace, nil)
+	var blocks [][]byte
+	for rest := payload; len(rest) > 0; rest = rest[min(700, len(rest)):] {
+		blocks = append(blocks, rest[:min(700, len(rest))])
+	}
+	again := filepath.Join(dir, "again")
+	if err := wal.WriteChunked(again, blocks, 512); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(again); err != nil || !bytes.Equal(got, file) {
+		t.Errorf("rewriting the payload in 512-byte frames: %d bytes (%v), want the earlier file's %d", len(got), err, len(file))
 	}
 }

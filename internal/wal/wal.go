@@ -249,7 +249,10 @@ func (l *Log) Compact(snapshot []byte) error {
 
 	// 1. New snapshot: temp file, fsync, rename. Complete-or-absent.
 	sp := snapshotPath(l.dir, next)
-	if err := writeFileSync(sp, append([]byte(snapMagic), frame(snapshot)...)); err != nil {
+	if err := writeFileSync(sp, func(w io.Writer) error {
+		_, err := w.Write(append([]byte(snapMagic), frame(snapshot)...))
+		return err
+	}); err != nil {
 		return err
 	}
 	// 2. New journal with just the magic header.
@@ -428,15 +431,16 @@ func listGenerations(dir string) ([]uint64, error) {
 	return gens, nil
 }
 
-// writeFileSync writes data to path atomically: temp file, fsync,
-// rename, directory fsync.
-func writeFileSync(path string, data []byte) error {
+// writeFileSync writes the file at path atomically: write fills a temp
+// file, which is fsynced and renamed over path, then the directory is
+// fsynced.
+func writeFileSync(path string, write func(io.Writer) error) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
+	if err := write(f); err != nil {
 		f.Close()
 		return fmt.Errorf("wal: %w", err)
 	}

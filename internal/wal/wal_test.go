@@ -3,9 +3,12 @@ package wal
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
+	"unsafe"
 )
 
 func mustOpen(t *testing.T, dir string) *Log {
@@ -195,7 +198,7 @@ func TestCompactCrashWindows(t *testing.T) {
 
 	// Simulate the crash window: snapshot-2 exists, journal-2 does not,
 	// and generation 1 was not yet deleted.
-	if err := writeFileSync(snapshotPath(dir, 2), append([]byte(snapMagic), frame([]byte("snap2"))...)); err != nil {
+	if err := os.WriteFile(snapshotPath(dir, 2), append([]byte(snapMagic), frame([]byte("snap2"))...), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	l2 := mustOpen(t, dir)
@@ -261,7 +264,11 @@ func TestChunkedRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.lptrace")
 	data := bytes.Repeat([]byte("0123456789abcdef"), 1000)
-	if err := WriteChunked(path, data, 100); err != nil {
+	if err := WriteChunked(path, [][]byte{data}, 100); err != nil {
+		t.Fatal(err)
+	}
+	whole, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadChunked(path)
@@ -273,6 +280,20 @@ func TestChunkedRoundTrip(t *testing.T) {
 	}
 	if err := VerifyChunked(path); err != nil {
 		t.Fatal(err)
+	}
+	// Frames span blocks: the same bytes in blocks of other sizes, empty
+	// ones among them, make the same file.
+	for _, size := range []int{1, 37, 100, 4096, len(data)} {
+		var blocks [][]byte
+		for rest := data; len(rest) > 0; rest = rest[min(size, len(rest)):] {
+			blocks = append(blocks, rest[:min(size, len(rest))], nil)
+		}
+		if err := WriteChunked(path, blocks, 100); err != nil {
+			t.Fatal(err)
+		}
+		if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, whole) {
+			t.Fatalf("%d-byte blocks: file differs from the one-block write (%v)", size, err)
+		}
 	}
 	// Empty payloads are legal.
 	if err := WriteChunked(path, nil, 0); err != nil {
@@ -287,7 +308,7 @@ func TestChunkedDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.lptrace")
 	data := bytes.Repeat([]byte("payload "), 512)
-	if err := WriteChunked(path, data, 256); err != nil {
+	if err := WriteChunked(path, [][]byte{data}, 256); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -353,4 +374,35 @@ func TestManyCompactions(t *testing.T) {
 		t.Fatalf("snapshot %q, want snap-9", got)
 	}
 	wantRecords(t, l2)
+}
+
+// TestBlockReader: the reader yields the blocks' bytes in order, across
+// block boundaries and empty blocks, for any read size, then io.EOF; and
+// it leaves the list it reads exactly as it found it.
+func TestBlockReader(t *testing.T) {
+	blocks := [][]byte{[]byte("lo"), nil, []byte("opa"), {}, []byte("palooza"), []byte("!")}
+	before := slices.Clone(blocks)
+	for _, size := range []int{1, 2, 3, 5, 64} {
+		r := NewBlockReader(blocks)
+		var got []byte
+		buf := make([]byte, size)
+		for {
+			n, err := r.Read(buf)
+			got = append(got, buf[:n]...)
+			if err == io.EOF {
+				break
+			}
+			if err != nil || n == 0 {
+				t.Fatalf("%d-byte reads: (%d, %v) before the end", size, n, err)
+			}
+		}
+		if string(got) != "loopapalooza!" {
+			t.Errorf("%d-byte reads: %q", size, got)
+		}
+	}
+	for i := range blocks {
+		if unsafe.SliceData(blocks[i]) != unsafe.SliceData(before[i]) || len(blocks[i]) != len(before[i]) || cap(blocks[i]) != cap(before[i]) {
+			t.Fatalf("block %d rewritten by a read", i)
+		}
+	}
 }
