@@ -144,20 +144,20 @@ vuln:
 	fi
 
 # Full measurement run: the perf suite (engine hot path, VM dispatch,
-# end-to-end sweep, parallel vs serial vs auto-width sub-benchmarks, the
-# paper-grid fan-out sweep, trace replay of every kernel with its
-# trace-size census, the uncached front end of every kernel, the lpd
-# analyze fill of every kernel through the trace tier, cold and replayed,
-# plus the bytecode compiler's opcode-mix census) and the root VM and
-# value-predictor benchmarks, rendered to BENCH_PR23.json with the
-# speedup-ratio tables and the measuring box's CPU count. Earlier
-# BENCH_PR*.json files are checked-in baselines; benchsmoke gates against
-# the newest.
+# the VM alone over every kernel with no-op hooks, end-to-end sweep,
+# parallel vs serial vs auto-width sub-benchmarks, the paper-grid fan-out
+# sweep, trace replay of every kernel with its trace-size census, the
+# uncached front end of every kernel, the lpd analyze fill of every
+# kernel through the trace tier, cold and replayed, plus the bytecode
+# compiler's opcode-mix census) and the root VM and value-predictor
+# benchmarks, rendered to BENCH_PR24.json with the speedup-ratio tables
+# and the measuring box's CPU count. Earlier BENCH_PR*.json files are
+# checked-in baselines; benchsmoke gates against the newest.
 bench:
-	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|SweepSuite|SweepFanout|SweepParallel|BytecodeLowering|FrontEnd|TraceReplay|AnalyzeFill' \
+	$(GO) test -run='^$$' -bench='EngineLoadStore|EngineNestedLoadStore|EngineEnterExit|InterpDispatch|VMSuite|SweepSuite|SweepFanout|SweepParallel|BytecodeLowering|FrontEnd|TraceReplay|AnalyzeFill' \
 		-benchmem -count=1 ./internal/core ./internal/interp ./internal/bench ./internal/serve | tee bench.out
 	$(GO) test -run='^$$' -bench='^Benchmark(Interpreter|Predictors)$$' -benchmem -count=1 . | tee -a bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_PR23.json bench.out
+	$(GO) run ./cmd/benchjson -o BENCH_PR24.json bench.out
 	rm -f bench.out
 
 figures:

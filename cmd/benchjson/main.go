@@ -1,5 +1,5 @@
 // Command benchjson converts `go test -bench` output into a
-// machine-readable JSON summary (BENCH_PR21.json). It parses every
+// machine-readable JSON summary (BENCH_PR24.json). It parses every
 // benchmark line, keeps all reported metrics (ns/op, B/op, allocs/op,
 // and custom metrics like instrs/sec or trace-bytes), records the
 // measuring box's CPU count, and derives these ratio tables:
@@ -11,9 +11,12 @@
 //     interpreting goroutine (Parallelism=1).
 //   - seed_vs_current: current numbers against baselines measured at the
 //     pre-shadow-memory seed commit with identical access patterns.
-//   - parent_vs_current: BenchmarkTraceReplay's trace-bytes census
-//     against its size at the parent of trace format v3, so one file
-//     holds both sides of that change.
+//   - parent_vs_current: the bytes per op of the benchmarks that run
+//     guest memory (BenchmarkVMSuite, BenchmarkInterpreter and
+//     BenchmarkAnalyzeFill/cold) against the parent of the 8-byte
+//     memory words, so one file holds both sides of that change.
+//     BENCH_PR22.json and BENCH_PR23.json hold the trace-bytes census
+//     against the parent of trace format v3.
 //
 // BENCH_PR5.json and BENCH_PR9.json preserve the retired
 // fanout_vs_perconfig and batched_vs_perevent tables, whose per-config
@@ -124,13 +127,21 @@ var seedBaselines = map[string]seedBaseline{
 	},
 }
 
-// parentBaselines: BenchmarkTraceReplay's trace-bytes census at commit
-// 6eac63f, the parent of trace format v3: the 57 kernels' version-2
-// traces. The census is exact, so one run gives it.
+// parentBaselines: bytes per op at commit c6605ef, the parent of guest
+// memory in 8-byte words, when every guest cell was a 24-byte
+// interp.Val, measured on a 2-CPU box.
 var parentBaselines = map[string]seedBaseline{
-	"BenchmarkTraceReplay": {
-		current: "BenchmarkTraceReplay",
-		metrics: map[string]float64{"trace-bytes": 21448985},
+	"BenchmarkVMSuite": {
+		current: "BenchmarkVMSuite",
+		metrics: map[string]float64{"B/op": 4643824},
+	},
+	"BenchmarkInterpreter": {
+		current: "BenchmarkInterpreter",
+		metrics: map[string]float64{"B/op": 13408},
+	},
+	"BenchmarkAnalyzeFill/cold": {
+		current: "BenchmarkAnalyzeFill/cold",
+		metrics: map[string]float64{"B/op": 23008941},
 	},
 }
 
@@ -410,7 +421,7 @@ func run() error {
 			"parallel_vs_serial compares Parallelism=NumCPU against Parallelism=1 " +
 			"(inline replay on the interpreting goroutine); its ratio depends on the " +
 			"measuring box's core count. parent_vs_current compares against " +
-			"commit 6eac63f, the parent of trace format v3.",
+			"commit c6605ef, the parent of guest memory in 8-byte words.",
 		NumCPU:           numCPU,
 		Benchmarks:       benches,
 		ParallelVsSerial: parallelVsSerial,

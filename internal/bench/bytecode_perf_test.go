@@ -6,6 +6,7 @@ import (
 
 	"loopapalooza/internal/analysis"
 	"loopapalooza/internal/bytecode"
+	"loopapalooza/internal/interp"
 	"loopapalooza/internal/lang"
 )
 
@@ -109,5 +110,34 @@ func BenchmarkBytecodeLowering(b *testing.B) {
 	sort.Strings(ops)
 	for _, op := range ops {
 		b.ReportMetric(float64(counts[op]), "op/"+op)
+	}
+}
+
+// BenchmarkVMSuite measures the bytecode VM alone over the whole suite:
+// one op runs every kernel's memoized program once on a fresh
+// bytecode.NewVM with no-op hooks, so its B/op is the guest memory and
+// VM set-up one pass of the 57 kernels allocates, and its time is plain
+// dispatch with no limit-study engine behind it.
+func BenchmarkVMSuite(b *testing.B) {
+	benches := All()
+	progs := make([]*bytecode.Program, len(benches))
+	for i, bm := range benches {
+		info, err := bm.Analyze()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if progs[i], err = bytecode.For(info); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cfg := interp.Config{Hooks: interp.NopHooks{}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, p := range progs {
+			if _, err := bytecode.NewVM(p, cfg).Run("main"); err != nil {
+				b.Fatalf("%s: %v", benches[j].Name, err)
+			}
+		}
 	}
 }

@@ -87,8 +87,9 @@ const (
 	opItoF
 	opFtoI
 
-	// Memory. opLoad carries the pointee kind in K for the
-	// uninitialized-cell retag.
+	// Memory. Memory holds 64-bit words without kinds, so opLoad and
+	// opLoadIdx carry the pointee kind in K and read their word at it;
+	// opLoadAddI and opLoadAddF read theirs as int and float.
 	opAlloca // A=dst, B=size
 	opLoad   // A=dst, B=addr, K=pointee kind
 	opStore  // A=value, B=addr

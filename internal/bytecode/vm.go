@@ -45,7 +45,7 @@ type VM struct {
 	initErr error
 	// globalImage is the initialized global segment Reset restores,
 	// built on the first Reset: a VM that runs once never needs it.
-	globalImage []interp.Val
+	globalImage []uint64
 
 	// Zero-allocation steady state: frames pool, scratch event buffers,
 	// and a fixed builtin argument buffer.
@@ -118,17 +118,16 @@ func NewVM(p *Program, cfg interp.Config) *VM {
 	return vm
 }
 
-// initGlobals calls set for every initialized cell of the global segment,
+// initGlobals calls set for every initialized word of the global segment,
 // by offset from GlobalBase.
-func (p *Program) initGlobals(set func(i int64, v interp.Val)) {
+func (p *Program) initGlobals(set func(i int64, w uint64)) {
 	base := int64(0)
 	for _, g := range p.mod.Globals {
-		k := g.Elem.Kind()
 		for i, v := range g.InitInt {
-			set(base+int64(i), interp.Val{K: k, I: v})
+			set(base+int64(i), uint64(v))
 		}
 		for i, v := range g.InitFloat {
-			set(base+int64(i), interp.FloatVal(v))
+			set(base+int64(i), math.Float64bits(v))
 		}
 		base += g.Size
 	}
@@ -154,8 +153,8 @@ func (vm *VM) Reset() {
 		for _, g := range vm.prog.mod.Globals {
 			size += g.Size
 		}
-		img := make([]interp.Val, size)
-		vm.prog.initGlobals(func(i int64, v interp.Val) { img[i] = v })
+		img := make([]uint64, size)
+		vm.prog.initGlobals(func(i int64, w uint64) { img[i] = w })
 		vm.globalImage = img
 	}
 	vm.mem.Reset(vm.globalImage)
@@ -599,12 +598,9 @@ func (vm *VM) exec(fc *funcCode, fr *frame) interp.Val {
 			addr := regs[in.B].I
 			vm.flushTicks()
 			vm.hooks.Load(addr)
-			v, err := vm.mem.Load(addr)
+			v, err := vm.mem.Load(addr, ir.Kind(in.K))
 			if err != nil {
 				vm.failMem(err)
-			}
-			if v.K == ir.KVoid && in.K != 0 {
-				v.K = ir.Kind(in.K)
 			}
 			regs[in.A] = v
 			ticks[in.A] = vm.clock
@@ -643,12 +639,9 @@ func (vm *VM) exec(fc *funcCode, fr *frame) interp.Val {
 			addr := regs[in.B].I + regs[in.C].I
 			vm.flushTicks()
 			vm.hooks.Load(addr)
-			v, err := vm.mem.Load(addr)
+			v, err := vm.mem.Load(addr, ir.Kind(in.K))
 			if err != nil {
 				vm.failMem(err)
-			}
-			if v.K == ir.KVoid && in.K != 0 {
-				v.K = ir.Kind(in.K)
 			}
 			regs[in.A] = v
 			ticks[in.A] = vm.clock
@@ -679,7 +672,7 @@ func (vm *VM) exec(fc *funcCode, fr *frame) interp.Val {
 			addr := regs[in.B].I
 			vm.flushTicks()
 			vm.hooks.Load(addr)
-			v, err := vm.mem.Load(addr)
+			v, err := vm.mem.Load(addr, ir.KInt)
 			if err != nil {
 				vm.failMem(err)
 			}
@@ -698,7 +691,7 @@ func (vm *VM) exec(fc *funcCode, fr *frame) interp.Val {
 			addr := regs[in.B].I
 			vm.flushTicks()
 			vm.hooks.Load(addr)
-			v, err := vm.mem.Load(addr)
+			v, err := vm.mem.Load(addr, ir.KFloat)
 			if err != nil {
 				vm.failMem(err)
 			}

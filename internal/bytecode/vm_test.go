@@ -3,6 +3,7 @@ package bytecode
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -548,3 +549,74 @@ func main() int { return huge[0]; }`, interp.Config{MaxHeapCells: 1024})
 		t.Errorf("want global budget error, got %v", err)
 	}
 }
+
+// TestVMUnwrittenCellsReadZero: memory holds words without kinds, so a
+// global, heap or stack cell that was never written must read back as
+// the zero of the kind its load names, on both engines and through each
+// load opcode.
+func TestVMUnwrittenCellsReadZero(t *testing.T) {
+	cases := []struct {
+		name, op, src string
+		want          interp.Val
+	}{
+		{"float global", "load", `var g float; func main() float { return g; }`, interp.FloatVal(0)},
+		{"float global array", "load.idx", `var g [4]float; func main() float { return g[3]; }`, interp.FloatVal(0)},
+		{"allocf cell", "load.idx", `func main() float { var p *float = allocf(4); return p[2]; }`, interp.FloatVal(0)},
+		{"float stack cell", "load.idx", `func main() float { var a [4]float; return a[1]; }`, interp.FloatVal(0)},
+		{"int heap cell", "load", `func main() int { var p *int = alloc(4); return *p; }`, interp.IntVal(0)},
+		{"int stack cell", "load.idx", `func main() int { var a [3]int; return a[2]; }`, interp.IntVal(0)},
+		{"bool global", "load", `var b bool; func main() bool { return b; }`, interp.BoolVal(false)},
+		{"pointer global", "load", `var q *float; func main() *float { return q; }`, interp.PtrVal(interp.NullAddr)},
+		{"float global plus", "load.add.f", `var g float; func main() float { return g + 1.5; }`, interp.FloatVal(1.5)},
+		{"int heap cell plus", "load.add.i", `func main() int { var p *int = alloc(2); return *p + 4; }`, interp.IntVal(4)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			info := analyze(t, c.src)
+			prog, err := For(info)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if prog.OpCounts()[c.op] == 0 {
+				t.Fatalf("the program lowers to no %s: %v", c.op, prog.OpCounts())
+			}
+			res, err := runBothAnalyzed(t, info, interp.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Ret != c.want {
+				t.Errorf("main() = %+v, want %+v", res.Ret, c.want)
+			}
+		})
+	}
+}
+
+// TestNewVMGlobalBytesPerWord: NewVM lays out the global segment as
+// 8-byte words, so a module with 100,000 global words costs at most 8.5
+// bytes per word to set up (24.0 when each cell was an interp.Val).
+func TestNewVMGlobalBytesPerWord(t *testing.T) {
+	const words = 100000
+	prog, err := For(analyze(t, fmt.Sprintf(`
+var big [%d]int;
+var scale float = 0.5;
+func main() int { return big[7]; }`, words-1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	for range runs {
+		vmSink = NewVM(prog, interp.Config{})
+	}
+	runtime.ReadMemStats(&ms)
+	perWord := float64(ms.TotalAlloc-before) / runs / words
+	t.Logf("NewVM: %.2f bytes per global word", perWord)
+	if perWord > 8.5 {
+		t.Errorf("NewVM allocates %.2f bytes per global word, want <= 8.5", perWord)
+	}
+}
+
+// vmSink keeps TestNewVMGlobalBytesPerWord's VMs reachable.
+var vmSink *VM

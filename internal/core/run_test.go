@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -414,5 +415,33 @@ func main() int {
 	if amort.Speedup() < paper.Speedup()*1.5 {
 		t.Errorf("ablation effect too small on rare-late-update loop: paper %.2f vs amortized %.2f",
 			paper.Speedup(), amort.Speedup())
+	}
+}
+
+// TestLargeFrameAllocation: a frame of a million words grows the guest
+// stack by its missing words in one step, so a BestHELIX run of it
+// allocates about the frame's 8 MB. Grown a cell at a time, the stack's
+// reallocations made the same run allocate 137.7 MB.
+func TestLargeFrameAllocation(t *testing.T) {
+	info, err := AnalyzeSource("frame", `
+func main() int {
+	var a [1000000]int;
+	a[999999] = 7;
+	return a[999999] + a[0];
+}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	if _, err := Run(info, BestHELIX(), RunOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&ms)
+	grew := ms.TotalAlloc - before
+	t.Logf("a run with a 1,000,000-word frame allocated %.1f MB", float64(grew)/1e6)
+	if grew > 16<<20 {
+		t.Errorf("a run with a 1,000,000-word frame allocated %d bytes, want at most 16 MiB", grew)
 	}
 }

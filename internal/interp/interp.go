@@ -177,11 +177,10 @@ func New(info *analysis.ModuleInfo, cfg Config) *Interp {
 	for _, g := range in.mod.Globals {
 		base := in.globalAddr[g] - GlobalBase
 		for i, v := range g.InitInt {
-			k := g.Elem.Kind()
-			in.mem.SetGlobal(base+int64(i), Val{K: k, I: v})
+			in.mem.SetGlobal(base+int64(i), uint64(v))
 		}
 		for i, v := range g.InitFloat {
-			in.mem.SetGlobal(base+int64(i), FloatVal(v))
+			in.mem.SetGlobal(base+int64(i), floatBits(v))
 		}
 	}
 	return in
@@ -529,14 +528,9 @@ func (in *Interp) execInstr(fr *frame, i *ir.Instr) {
 		addr := in.val(fr, i.Args[0]).I
 		in.flushTicks()
 		in.hooks.Load(addr)
-		v, err := in.mem.Load(addr)
+		v, err := in.mem.Load(addr, i.Ty.Kind())
 		if err != nil {
 			in.failMem(err)
-		}
-		// Retag loads through typed pointers so uninitialized cells
-		// read back as zero values of the right kind.
-		if want := i.Ty.Kind(); v.K == ir.KVoid && want != ir.KVoid {
-			v.K = want
 		}
 		in.setReg(fr, i, v)
 	case ir.OpStore:

@@ -1,11 +1,13 @@
 package interp
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"loopapalooza/internal/analysis"
+	"loopapalooza/internal/ir"
 	"loopapalooza/internal/lang"
 )
 
@@ -178,45 +180,96 @@ func main() int {
 	}
 }
 
-// TestMemorySegmentsProperty: round-trips through each memory segment
-// preserve values for arbitrary payloads.
+// sameVal reports whether two values have the same kind and payload,
+// comparing floats bit for bit so NaN payloads and -0.0 count.
+func sameVal(a, b Val) bool {
+	return a.K == b.K && a.I == b.I && math.Float64bits(a.F) == math.Float64bits(b.F)
+}
+
+// segmentAddrs returns one address in each segment of m, global, heap
+// and stack, chosen by idx.
+func segmentAddrs(t *testing.T, m *Memory, idx uint16) [3]int64 {
+	t.Helper()
+	hBase, err := m.HeapAlloc(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sBase, err := m.Alloca(128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return [3]int64{GlobalBase + int64(idx%64), hBase + int64(idx%128), sBase + int64(idx%128)}
+}
+
+// TestMemorySegmentsProperty: memory holds words without kinds, so every
+// kind of value round-trips through every segment when it is loaded at
+// the kind it was stored: arbitrary ints, floats bit for bit (NaN
+// payloads and -0.0 included), bools and pointers.
 func TestMemorySegmentsProperty(t *testing.T) {
-	f := func(v int64, idx uint16) bool {
+	roundTrips := func(idx uint16, vals ...Val) bool {
 		m := NewMemory(64, 0)
-		gAddr := GlobalBase + int64(idx%64)
-		if err := m.Store(gAddr, IntVal(v)); err != nil {
-			return false
+		for _, addr := range segmentAddrs(t, m, idx) {
+			for _, v := range vals {
+				if err := m.Store(addr, v); err != nil {
+					t.Errorf("Store(%#x, %+v): %v", addr, v, err)
+					return false
+				}
+				got, err := m.Load(addr, v.K)
+				if err != nil || !sameVal(got, v) {
+					t.Errorf("Load(%#x) after Store(%+v) = %+v, %v", addr, v, got, err)
+					return false
+				}
+			}
 		}
-		got, err := m.Load(gAddr)
-		if err != nil || got.I != v {
-			return false
-		}
-		hBase, err := m.HeapAlloc(128)
-		if err != nil {
-			return false
-		}
-		hAddr := hBase + int64(idx%128)
-		if err := m.Store(hAddr, IntVal(v)); err != nil {
-			return false
-		}
-		got, err = m.Load(hAddr)
-		if err != nil || got.I != v {
-			return false
-		}
-		sBase, err := m.Alloca(128)
-		if err != nil {
-			return false
-		}
-		sAddr := sBase + int64(idx%128)
-		if err := m.Store(sAddr, IntVal(v)); err != nil {
-			return false
-		}
-		got, err = m.Load(sAddr)
-		return err == nil && got.I == v
+		return true
+	}
+	f := func(i int64, fbits uint64, b bool, idx uint16) bool {
+		return roundTrips(idx, IntVal(i), FloatVal(math.Float64frombits(fbits)), BoolVal(b), PtrVal(i))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
 	}
+	edges := []Val{
+		IntVal(math.MinInt64), IntVal(math.MaxInt64), IntVal(-1), IntVal(0),
+		FloatVal(math.Copysign(0, -1)), FloatVal(math.Inf(-1)), FloatVal(math.MaxFloat64),
+		FloatVal(math.SmallestNonzeroFloat64), FloatVal(math.NaN()),
+		FloatVal(math.Float64frombits(0x7ff0000000000001)), // signaling NaN
+		FloatVal(math.Float64frombits(0xfff8dead0000beef)), // negative quiet NaN, payload
+		BoolVal(true), BoolVal(false),
+		PtrVal(NullAddr), PtrVal(HeapBase), PtrVal(StackTop - 1),
+	}
+	for idx := range uint16(130) {
+		if !roundTrips(idx, edges...) {
+			break
+		}
+	}
+}
+
+// TestUnwrittenCellsReadZero: a cell never written reads back as the
+// zero of the load's kind in every segment, and so do the heap and stack
+// cells a Reset handed back dirty once they are reserved again.
+func TestUnwrittenCellsReadZero(t *testing.T) {
+	m := NewMemory(64, 0)
+	wantZero := func(when string) [3]int64 {
+		t.Helper()
+		addrs := segmentAddrs(t, m, 7)
+		for _, addr := range addrs {
+			for _, k := range []ir.Kind{ir.KBool, ir.KInt, ir.KFloat, ir.KPtr} {
+				got, err := m.Load(addr, k)
+				if err != nil || !sameVal(got, Val{K: k}) {
+					t.Errorf("%s: Load(%#x, kind %d) = %+v, %v; want %+v", when, addr, k, got, err, Val{K: k})
+				}
+			}
+		}
+		return addrs
+	}
+	for _, addr := range wantZero("never written") {
+		if err := m.Store(addr, FloatVal(math.NaN())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Reset(make([]uint64, 64))
+	wantZero("reserved again after a Reset")
 }
 
 func TestAllocaRestoresOnReturnBoundary(t *testing.T) {
@@ -238,7 +291,7 @@ func TestAllocaRestoresOnReturnBoundary(t *testing.T) {
 	}
 	// Frame pop is a plain sp restore (done by the interpreter).
 	m.SP = sp0
-	if _, err := m.Load(a); err == nil {
+	if _, err := m.Load(a, ir.KInt); err == nil {
 		t.Error("load from popped frame should fail")
 	}
 }

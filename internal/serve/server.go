@@ -15,6 +15,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -427,13 +428,40 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, maxBytes int64, v any) e
 	return json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBytes)).Decode(v)
 }
 
-// writeJSON writes v with the given status.
+// jsonBuffer is a response buffer with an indenting encoder bound to it.
+// The encoder keeps the buffer it indents into across Encode calls, so a
+// pooled jsonBuffer writes a warm response without growing either one.
+type jsonBuffer struct {
+	buf bytes.Buffer
+	enc *json.Encoder
+}
+
+// jsonBuffers pools writeJSON's buffers; ones that grew past
+// maxPooledJSON are dropped, so a large sweep response does not stay
+// resident.
+var jsonBuffers = sync.Pool{New: func() any {
+	jb := &jsonBuffer{}
+	jb.enc = json.NewEncoder(&jb.buf)
+	jb.enc.SetIndent("", "  ")
+	return jb
+}}
+
+const maxPooledJSON = 1 << 20
+
+// writeJSON writes v, indented and newline-terminated, with the given
+// status. A value that fails to encode leaves the body empty.
 func writeJSON(w http.ResponseWriter, status int, v any) {
+	jb := jsonBuffers.Get().(*jsonBuffer)
+	jb.buf.Reset()
+	err := jb.enc.Encode(v)
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
+	if err == nil {
+		_, _ = w.Write(jb.buf.Bytes())
+	}
+	if jb.buf.Cap() <= maxPooledJSON {
+		jsonBuffers.Put(jb)
+	}
 }
 
 // AnalyzeRequest is the POST /v1/analyze body.
